@@ -34,7 +34,7 @@ from .dimensions import (
     is_nonvanishing,
 )
 from .errors import ConsistencyError, ResourceLimitError
-from .groups import PermutationGroup, enumerate_group
+from .groups import PermutationGroup
 from .irreducibles import integer_irreducible_characters
 from .partitions import (
     class_size,
@@ -52,7 +52,6 @@ from .symmetrizer import (
     dimension_by_rank,
     norm_squared,
     sn_character_spec,
-    stabilizer,
     symmetrize_monomial,
     symmetrize_polynomial,
 )

@@ -26,7 +26,7 @@ from .denumerant import (
 from .dimensions import dimension_report, is_nonvanishing
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import PermutationGroup, parse_generators, parse_permutation
-from .partitions import enumerate_partitions
+from .partitions import check_exponent_vector, check_partition, enumerate_partitions
 from .symmetrizer import CharacterSpec, norm_squared, symmetrize_monomial
 from .tableaux import count_fillings
 
@@ -46,30 +46,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
 
 
-def _parse_partition(text: str) -> tuple[int, ...]:
-    parts = _parse_ints(text, "a partition")
-    if any(x < 1 for x in parts):
-        raise ValueError(f"partition parts must be positive, got {text!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing, got {text!r}")
-    return parts
-
-
-def _parse_exponents(text: str) -> tuple[int, ...]:
-    entries = _parse_ints(text, "an exponent vector")
-    if any(x < 0 for x in entries):
-        raise ValueError(f"exponent entries must be non-negative, got {text!r}")
-    return entries
-
-
 def _format_partition(p: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
-
-
-def _format_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
 
 
 def _json_value(v):
@@ -145,8 +123,8 @@ def _cmd_decompose(args) -> None:
 
 
 def _cmd_kostka(args) -> None:
-    shape = _parse_partition(args.shape)
-    content = _parse_exponents(args.content)
+    shape = check_partition(_parse_ints(args.shape, "--shape"))
+    content = check_exponent_vector(_parse_ints(args.content, "--content"))
     value = count_fillings(shape, content)
     _emit(
         args,
@@ -182,8 +160,8 @@ def _cmd_character(args) -> None:
         return
     if not args.partition or not args.cls:
         raise ValueError("need either --table M or both --partition and --class")
-    pi = _parse_partition(args.partition)
-    lam = _parse_partition(args.cls)
+    pi = check_partition(_parse_ints(args.partition, "--partition"))
+    lam = check_partition(_parse_ints(args.cls, "--class"))
     value = irreducible_character_value(pi, lam)
     _emit(
         args,
@@ -196,7 +174,7 @@ def _cmd_character(args) -> None:
 
 
 def _cmd_dim(args) -> None:
-    pi = _parse_partition(args.partition)
+    pi = check_partition(_parse_ints(args.partition, "--partition"))
     report = dimension_report(args.m, args.d, pi, verify_rank=args.verify)
     cross_checks = []
     if args.verify:
@@ -246,7 +224,7 @@ def _cmd_dim(args) -> None:
 
 
 def _cmd_vanish(args) -> None:
-    pi = _parse_partition(args.partition)
+    pi = check_partition(_parse_ints(args.partition, "--partition"))
     nonzero, witness = is_nonvanishing(args.m, args.d, pi)
     if nonzero:
         text = f"non-vanishing (witness {_format_partition(witness)})"
@@ -274,14 +252,14 @@ def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
         raise ValueError("character file must be a JSON object")
     class_values = {}
     for key, value in raw.items():
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"character value for {key!r} must be an integer")
         class_values[parse_permutation(key, group.m)] = value
     return CharacterSpec.from_class_values(group, class_values)
 
 
 def _cmd_symmetrize(args) -> None:
-    alpha = _parse_exponents(args.alpha)
+    alpha = check_exponent_vector(_parse_ints(args.alpha, "--alpha"))
     m = len(alpha)
     generators = parse_generators(args.generators, m)
     group = PermutationGroup(generators, m, max_order=args.max_elements)
@@ -290,9 +268,9 @@ def _cmd_symmetrize(args) -> None:
     norm = norm_squared(group, chi, alpha)
     ordered = sorted(poly.coefficients.items())
     lines = [
-        f"{_format_partition(beta)}: {_format_value(coeff)}" for beta, coeff in ordered
+        f"{_format_partition(beta)}: {coeff}" for beta, coeff in ordered
     ]
-    lines.append(f"norm_squared: {_format_value(norm)}")
+    lines.append(f"norm_squared: {norm}")
     result = {
         "coefficients": [
             {"exponent": list(beta), "coefficient": _json_value(coeff)}

@@ -9,7 +9,7 @@ environment variable.
 # Largest number of exponent vectors enumerate_gamma will materialize.
 MAX_GAMMA = 10_000_000
 
-# Largest permutation group order enumerate_group will close over.
+# Largest permutation group order PermutationGroup will close over.
 MAX_GROUP_ORDER = 1_000_000
 
 # Largest symmetric group degree for which a full character table is built.

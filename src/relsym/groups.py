@@ -218,32 +218,3 @@ class PermutationGroup:
     def orbit(self, alpha: Sequence[int]) -> set[ExponentVector]:
         alpha = tuple(alpha)
         return {apply_to_exponents(g, alpha) for g in self.elements}
-
-    def subgroups(self) -> list["PermutationGroup"]:
-        """Every subgroup, by repeatedly closing known subgroups extended by
-        one element.  Deterministic order: by order, then element lists."""
-        identity = identity_permutation(self.m)
-        found: set[frozenset[Permutation]] = {frozenset([identity])}
-        frontier = [frozenset([identity])]
-        while frontier:
-            new_frontier = []
-            for sub in frontier:
-                for g in self.elements:
-                    if g in sub:
-                        continue
-                    closure = PermutationGroup(list(sub) + [g], self.m)
-                    key = frozenset(closure.elements)
-                    if key not in found:
-                        found.add(key)
-                        new_frontier.append(key)
-            frontier = new_frontier
-        groups = [PermutationGroup(sorted(sub), self.m) for sub in found]
-        groups.sort(key=lambda grp: (grp.order, grp.elements))
-        return groups
-
-
-def enumerate_group(
-    generators: Iterable[Permutation], m: int, max_order: int | None = None
-) -> PermutationGroup:
-    """Close a generator list into a full group; capped by ``max_order``."""
-    return PermutationGroup(generators, m, max_order=max_order)

@@ -20,70 +20,10 @@ from fractions import Fraction
 
 from .errors import ConsistencyError
 from .groups import PermutationGroup, compose, inverse
+from .linalg import kernel
 
 Vector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
-
-
-def _solve_coordinates(basis: list[Vector], target: Vector) -> list[Fraction]:
-    """Coordinates of ``target`` in the span of ``basis`` (which must contain
-    it); plain Gaussian elimination over exact rationals."""
-    n = len(target)
-    cols = len(basis)
-    aug = [[basis[j][i] for j in range(cols)] + [target[i]] for i in range(n)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][cols] != 0:
-            raise ConsistencyError("vector not in the claimed span")
-    coords = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivot_cols):
-        coords[c] = aug[row_idx][cols]
-    return coords
-
-
-def _kernel_basis(mat: Matrix) -> list[Vector]:
-    """Basis of the kernel of a square rational matrix."""
-    n = len(mat)
-    rows = [row[:] for row in mat]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][c]
-        rows[r] = [x / scale for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    basis = []
-    for free in range(n):
-        if free in pivot_of_col:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for c, row_idx in pivot_of_col.items():
-            vec[c] = -rows[row_idx][free]
-        basis.append(tuple(vec))
-    return basis
 
 
 def _class_multiplication_matrices(
@@ -122,25 +62,26 @@ def _common_rational_eigenlines(
                 refined.append(basis)
                 continue
             s = len(basis)
-            images = []
-            for v in basis:
-                image = tuple(
-                    sum(mat[j][k] * v[k] for k in range(r)) for j in range(r)
-                )
-                images.append(_solve_coordinates(basis, image))
+            images = [
+                tuple(sum(mat[j][k] * v[k] for k in range(r)) for j in range(r))
+                for v in basis
+            ]
             for lam in range(-class_sizes[i], class_sizes[i] + 1):
+                # V = span(basis) is invariant under mat and the basis has full
+                # column rank, so the kernel of (mat - lam) * basis gives the
+                # coordinates of the lam-eigenvectors inside V
                 shifted = [
-                    [images[t][u] - (lam if t == u else 0) for t in range(s)]
-                    for u in range(s)
+                    [images[t][k] - lam * basis[t][k] for t in range(s)]
+                    for k in range(r)
                 ]
-                kernel = _kernel_basis(shifted)
-                if kernel:
+                eigen = kernel(shifted, s)
+                if eigen:
                     lifted = [
                         tuple(
                             sum(coords[t] * basis[t][k] for t in range(s))
                             for k in range(r)
                         )
-                        for coords in kernel
+                        for coords in eigen
                     ]
                     refined.append(lifted)
         spaces = refined

@@ -44,10 +44,6 @@ def check_exponent_vector(entries: Sequence[int], m: int | None = None) -> Expon
     return alpha
 
 
-def weight(partition: Sequence[int]) -> int:
-    return sum(partition)
-
-
 def dominates(mu: Partition, pi: Partition) -> bool:
     """Whether ``mu`` majorizes ``pi``: every prefix sum of ``pi`` is at most
     the matching prefix sum of ``mu``.

@@ -31,6 +31,7 @@ from .groups import (
     inverse,
 )
 from .irreducibles import integer_irreducible_characters
+from .linalg import rank
 from .partitions import (
     ExponentVector,
     check_exponent_vector,
@@ -198,41 +199,6 @@ def norm_squared(
     return formula
 
 
-def _bareiss_rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination: pivots are
-    the first nonzero entry per column, every division is exact."""
-    rows = [row[:] for row in matrix]
-    if not rows:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        p = pivot_row[c]
-        for i in range(r + 1, n_rows):
-            row = rows[i]
-            f = row[c]
-            if f == 0 and p == prev:
-                continue
-            for j in range(c + 1, n_cols):
-                num = row[j] * p - f * pivot_row[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ConsistencyError("inexact division in fraction-free elimination")
-                row[j] = q
-            row[c] = 0
-        prev = p
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def dimension_by_rank(
     group: PermutationGroup,
     chi: CharacterSpec,
@@ -258,7 +224,7 @@ def dimension_by_rank(
             if value:
                 row[column[apply_to_exponents(g, alpha)]] += value
         matrix.append(row)
-    return _bareiss_rank(matrix)
+    return rank(matrix)
 
 
 def dimension_by_character_sum(
@@ -281,11 +247,6 @@ def dimension_by_character_sum(
             f"character-sum dimension is not a non-negative integer: {result}"
         )
     return int(result)
-
-
-def stabilizer(group: PermutationGroup, alpha: Sequence[int]) -> PermutationGroup:
-    """The subgroup fixing ``alpha`` under coordinate permutation."""
-    return group.stabilizer(alpha)
 
 
 def character_specs_for_integer_irreducibles(

@@ -2,8 +2,9 @@
 
 Nothing here imports the computation paths under test: solution counts come
 from nested enumeration, tableau counts from filtering raw fillings,
-character tables from coset actions plus Gram-Schmidt peeling, and ranks
-from plain rational Gaussian elimination.
+character tables from coset actions plus Gram-Schmidt peeling, ranks
+from plain rational Gaussian elimination, and subgroup lists from closing
+element sets under products.
 """
 
 from __future__ import annotations
@@ -86,6 +87,39 @@ def cycle_type_of(p):
 
 def symmetric_group_elements(m):
     return [tuple(p) for p in permutations(range(m))]
+
+
+def subgroups(elements):
+    """Every subgroup of the permutation group with these elements, as
+    sorted element tuples ordered by size, then elements: each known
+    subgroup is extended by one element and closed under products."""
+
+    def closure(generators):
+        found = set(generators)
+        frontier = list(found)
+        while frontier:
+            frontier = [
+                p
+                for p in {compose(g, h) for g in generators for h in frontier}
+                if p not in found
+            ]
+            found.update(frontier)
+        return frozenset(found)
+
+    trivial = frozenset([tuple(range(len(elements[0])))])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for sub in frontier:
+            for g in elements:
+                if g not in sub:
+                    key = closure(sub | {g})
+                    if key not in found:
+                        found.add(key)
+                        new_frontier.append(key)
+        frontier = new_frontier
+    return sorted((tuple(sorted(sub)) for sub in found), key=lambda sub: (len(sub), sub))
 
 
 def young_subgroup_elements(mu, m):

@@ -6,6 +6,7 @@ line; run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 
 import math
 
+from oracles import subgroups, symmetric_group_elements
 from relsym.characters import character_table, restricted_trivial_inner_product
 from relsym.denumerant import (
     class_function_from_decomposition,
@@ -145,7 +146,8 @@ def test_character_table_orthogonality():
 
 def test_symmetrizer_norms_and_idempotence():
     failures = []
-    for group in PermutationGroup.symmetric(4).subgroups():
+    for elements in subgroups(symmetric_group_elements(4)):
+        group = PermutationGroup(elements, 4)
         for spec in character_specs_for_integer_irreducibles(group):
             for d in range(0, 5):
                 for alpha in enumerate_gamma(4, d):

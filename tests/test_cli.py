@@ -113,6 +113,19 @@ def test_symmetrize_missing_file(capsys):
     assert "error" in err
 
 
+def test_symmetrize_rejects_boolean_character_values(capsys, tmp_path):
+    # JSON true is a Python bool, which is an int subclass
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"()": True, "(1 2)": True}))
+    code, out, err = run(
+        capsys, "symmetrize", "--generators", "(1 2)", "--character", str(path),
+        "--alpha", "1,0",
+    )
+    assert code == 1
+    assert out == ""
+    assert "must be an integer" in err
+
+
 def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, "denumerant", "--coins", "1,0", "--amount", "4")
     assert code == 1

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from relsym.characters import character_table
-from relsym.groups import PermutationGroup, cycle_type, enumerate_group, inverse, parse_generators
+from oracles import subgroups, symmetric_group_elements
+from relsym.groups import PermutationGroup, cycle_type, inverse, parse_generators
 from relsym.irreducibles import integer_irreducible_characters
 
 
@@ -20,28 +21,32 @@ def _orders_histogram(group):
     return out
 
 
+def _s4_subgroups():
+    return [PermutationGroup(els, 4) for els in subgroups(symmetric_group_elements(4))]
+
+
 def test_trivial_and_cyclic_groups():
     triv = PermutationGroup.symmetric(1)
     assert [ch["values"] for ch in integer_irreducible_characters(triv)] == [[1]]
 
-    c2 = enumerate_group(parse_generators("(1 2)", 2), 2)
+    c2 = PermutationGroup(parse_generators("(1 2)", 2), 2)
     chars = integer_irreducible_characters(c2)
     assert sorted(ch["values"] for ch in chars) == [[1, -1], [1, 1]]
 
     # order three: only the trivial character is integer-valued
-    c3 = enumerate_group(parse_generators("(1 2 3)", 3), 3)
+    c3 = PermutationGroup(parse_generators("(1 2 3)", 3), 3)
     chars = integer_irreducible_characters(c3)
     assert [ch["values"] for ch in chars] == [[1, 1, 1]]
 
     # order four: the two real characters survive, the two faithful ones drop
-    c4 = enumerate_group(parse_generators("(1 2 3 4)", 4), 4)
+    c4 = PermutationGroup(parse_generators("(1 2 3 4)", 4), 4)
     chars = integer_irreducible_characters(c4)
     assert len(chars) == 2
     assert all(ch["degree"] == 1 for ch in chars)
 
 
 def test_klein_four_group():
-    v4 = enumerate_group(parse_generators("(1 2)(3 4),(1 3)(2 4)", 4), 4)
+    v4 = PermutationGroup(parse_generators("(1 2)(3 4),(1 3)(2 4)", 4), 4)
     chars = integer_irreducible_characters(v4)
     assert len(chars) == 4
     assert all(ch["degree"] == 1 for ch in chars)
@@ -62,8 +67,7 @@ def test_symmetric_groups_match_the_table():
 
 
 def test_every_subgroup_of_s4_yields_orthonormal_characters():
-    s4 = PermutationGroup.symmetric(4)
-    for group in s4.subgroups():
+    for group in _s4_subgroups():
         classes = group.conjugacy_classes()
         sizes = [len(cls) for cls in classes]
         chars = integer_irreducible_characters(group)
@@ -94,8 +98,7 @@ def test_expected_counts_by_isomorphism_type():
         (12, 4): 2,  # A4: two faithful linear characters are irrational
         (24, 5): 5,  # S4
     }
-    s4 = PermutationGroup.symmetric(4)
-    for group in s4.subgroups():
+    for group in _s4_subgroups():
         classes = group.conjugacy_classes()
         key = (group.order, len(classes))
         count = len(integer_irreducible_characters(group))
@@ -107,8 +110,7 @@ def test_expected_counts_by_isomorphism_type():
 
 
 def test_degrees_square_sum_bounded_by_order():
-    s4 = PermutationGroup.symmetric(4)
-    for group in s4.subgroups():
+    for group in _s4_subgroups():
         chars = integer_irreducible_characters(group)
         total = sum(ch["degree"] ** 2 for ch in chars)
         assert total <= group.order
@@ -120,7 +122,7 @@ def test_degrees_square_sum_bounded_by_order():
 
 
 def test_returned_classes_follow_group_order():
-    group = enumerate_group(parse_generators("(1 2),(3 4)", 4), 4)
+    group = PermutationGroup(parse_generators("(1 2),(3 4)", 4), 4)
     reps = [cls[0] for cls in group.conjugacy_classes()]
     for ch in integer_irreducible_characters(group):
         assert ch["classes"] == reps
