@@ -17,6 +17,7 @@ from .characters import (
     restricted_trivial_inner_product,
     trivial_character,
 )
+from .config import limits, use_limits
 from .denumerant import (
     denumerant,
     denumerant_by_induced_characters,

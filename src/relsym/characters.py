@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from . import config
+from .config import limits
 from .errors import ConsistencyError, ResourceLimitError
 from .partitions import (
     Partition,
@@ -75,7 +75,7 @@ _TABLE_CACHE: dict[int, dict[Partition, dict[Partition, int]]] = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def character_table(m: int, max_m: int | None = None) -> dict[Partition, dict[Partition, int]]:
+def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
     """Full table of irreducible character values for the symmetric group of
     degree ``m``, keyed ``table[pi][lam]``.
 
@@ -84,9 +84,12 @@ def character_table(m: int, max_m: int | None = None) -> dict[Partition, dict[Pa
     """
     if m < 1:
         raise ValueError("degree must be at least 1")
-    bound = config.MAX_CHARACTER_TABLE_M if max_m is None else max_m
+    bound = limits().max_character_table_m
     if m > bound:
-        raise ResourceLimitError(f"character table for degree {m} exceeds the bound {bound}")
+        raise ResourceLimitError(
+            f"character table for degree {m} exceeds the bound {bound}"
+            " (Limits.max_character_table_m; no command-line flag raises it)"
+        )
     with _TABLE_LOCK:
         table = _TABLE_CACHE.get(m)
         if table is None:

@@ -243,18 +243,30 @@ def _cmd_vanish(args) -> None:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    found: dict = {}
+    for key, value in pairs:
+        if key in found:
+            raise ValueError(f"character file repeats the key {key!r}")
+        found[key] = value
+    return found
+
+
 def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
     """A character file maps class representatives in cycle notation to
     integer values, e.g. {"()": 2, "(1 2)": 0, "(1 2 3)": -1}."""
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        raw = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValueError("character file must be a JSON object")
     class_values = {}
     for key, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"character value for {key!r} must be an integer")
-        class_values[parse_permutation(key, group.m)] = value
+        perm = parse_permutation(key, group.m)
+        if perm in class_values:
+            raise ValueError(f"character file key {key!r} repeats an earlier permutation")
+        class_values[perm] = value
     return CharacterSpec.from_class_values(group, class_values)
 
 
@@ -262,7 +274,7 @@ def _cmd_symmetrize(args) -> None:
     alpha = check_exponent_vector(_parse_ints(args.alpha, "--alpha"))
     m = len(alpha)
     generators = parse_generators(args.generators, m)
-    group = PermutationGroup(generators, m, max_order=args.max_elements)
+    group = PermutationGroup(generators, m)
     chi = _load_character_file(args.character, group)
     poly = symmetrize_monomial(group, chi, alpha)
     norm = norm_squared(group, chi, alpha)
@@ -297,7 +309,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-elements",
         type=int,
-        default=None,
+        default=os.environ.get(config.MAX_ELEMENTS_ENV),
         help="cap on permutation group orders (also RELSYM_MAX_ELEMENTS)",
     )
     parser.add_argument(
@@ -386,27 +398,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         return 0 if not exc.code else 1
-    if args.max_elements is None:
-        env = os.environ.get(config.MAX_ELEMENTS_ENV)
-        if env is not None:
-            try:
-                args.max_elements = int(env)
-            except ValueError:
-                print(
-                    f"{config.MAX_ELEMENTS_ENV} must be an integer, got {env!r}",
-                    file=sys.stderr,
-                )
-                return 1
-    # the caps are module-level defaults; a CLI run is single-shot, so
-    # overriding them for the duration of the command is safe
-    old_gamma = config.MAX_GAMMA
-    old_group = config.MAX_GROUP_ORDER
+    caps = {"max_gamma": args.max_gamma, "max_group_order": args.max_elements}
     try:
-        if args.max_gamma is not None:
-            config.MAX_GAMMA = args.max_gamma
-        if args.max_elements is not None:
-            config.MAX_GROUP_ORDER = args.max_elements
-        args.func(args)
+        with config.use_limits(**{k: v for k, v in caps.items() if v is not None}):
+            args.func(args)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -417,12 +412,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(
+            "resource limit: the input needs deeper recursion than Python's"
+            " recursion limit, a cap that no flag raises",
+            file=sys.stderr,
+        )
+        return 2
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    finally:
-        config.MAX_GAMMA = old_gamma
-        config.MAX_GROUP_ORDER = old_group
 
 
 if __name__ == "__main__":

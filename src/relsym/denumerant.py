@@ -97,11 +97,11 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
     )
 
 
-def verify_trace_identity(m: int, d: int, max_gamma: int | None = None) -> bool:
+def verify_trace_identity(m: int, d: int) -> bool:
     """Check, one representative permutation per cycle type, that the number
     of exponent vectors fixed by the permutation equals the denumerant of its
     cycle type.  Enumerates all of Gamma(m, d), so it is capped."""
-    gamma = enumerate_gamma(m, d, max_elements=max_gamma)
+    gamma = enumerate_gamma(m, d)
     expected = denumerant_class_function(m, d)
     for lam in enumerate_partitions(m):
         sigma = permutation_of_cycle_type(lam)
@@ -111,9 +111,7 @@ def verify_trace_identity(m: int, d: int, max_gamma: int | None = None) -> bool:
     return True
 
 
-def denumerant_by_induced_characters(
-    m: int, d: int, literal: bool = False, max_gamma: int | None = None
-) -> ClassFunction:
+def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> ClassFunction:
     """Reassemble the denumerant class function from characters induced from
     exponent-vector stabilizers.
 
@@ -136,7 +134,7 @@ def denumerant_by_induced_characters(
             for i, lam in enumerate(classes):
                 totals[i] += induced.values[lam]
         return ClassFunction(m, dict(zip(classes, totals)))
-    for alpha in enumerate_gamma(m, d, max_elements=max_gamma):
+    for alpha in enumerate_gamma(m, d):
         stab = multiplicity_partition(alpha)
         order = multiplicity_factorial(stab)
         induced = induced_trivial_character(stab)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from . import config
+from .config import limits
 from .errors import ResourceLimitError
 from .partitions import ExponentVector, Partition
 
@@ -137,17 +137,12 @@ class PermutationGroup:
     afterwards.
     """
 
-    def __init__(
-        self,
-        generators: Iterable[Permutation],
-        m: int,
-        max_order: int | None = None,
-    ) -> None:
+    def __init__(self, generators: Iterable[Permutation], m: int) -> None:
         gens = [tuple(g) for g in generators]
         for g in gens:
             if sorted(g) != list(range(m)):
                 raise ValueError(f"not a permutation of {m} points: {g}")
-        cap = config.MAX_GROUP_ORDER if max_order is None else max_order
+        cap = limits().max_group_order
         identity = identity_permutation(m)
         elements = {identity}
         frontier = [identity]
@@ -162,6 +157,8 @@ class PermutationGroup:
                         if len(elements) > cap:
                             raise ResourceLimitError(
                                 f"group order exceeds the cap of {cap}"
+                                " (Limits.max_group_order; raise it with"
+                                " --max-elements or RELSYM_MAX_ELEMENTS)"
                             )
             frontier = new_frontier
         self.m = m

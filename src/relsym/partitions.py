@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import zip_longest
 from typing import Iterator, Sequence
 
-from . import config
+from .config import limits
 from .errors import ResourceLimitError
 
 Partition = tuple[int, ...]
@@ -122,23 +122,23 @@ def _vectors_lex(m: int, d: int) -> Iterator[ExponentVector]:
             yield (first,) + rest
 
 
-def enumerate_gamma(m: int, d: int, max_elements: int | None = None) -> list[ExponentVector]:
+def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
     """All m-tuples of non-negative integers summing to ``d``, in
     lexicographic order.
 
-    Refuses to materialize more than ``max_elements`` tuples (default
-    ``config.MAX_GAMMA``); formula paths that scale past the cap work from
-    orbit representatives instead.
+    Refuses to materialize more than ``limits().max_gamma`` tuples; formula
+    paths that scale past the cap work from orbit representatives instead.
     """
     if m < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be non-negative")
-    cap = config.MAX_GAMMA if max_elements is None else max_elements
+    cap = limits().max_gamma
     size = gamma_size(m, d)
     if size > cap:
         raise ResourceLimitError(
             f"Gamma({m}, {d}) has {size} elements, exceeding the cap of {cap}"
+            " (Limits.max_gamma; raise it with --max-gamma)"
         )
     return list(_vectors_lex(m, d))
 

@@ -199,12 +199,7 @@ def norm_squared(
     return formula
 
 
-def dimension_by_rank(
-    group: PermutationGroup,
-    chi: CharacterSpec,
-    d: int,
-    max_gamma: int | None = None,
-) -> int:
+def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> int:
     """Dimension of the symmetrized degree-d space as the exact rank of the
     matrix whose rows are the symmetrized monomials over all exponent
     vectors.
@@ -215,7 +210,7 @@ def dimension_by_rank(
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    vectors = enumerate_gamma(group.m, d, max_elements=max_gamma)
+    vectors = enumerate_gamma(group.m, d)
     column = {beta: j for j, beta in enumerate(vectors)}
     matrix = []
     for alpha in vectors:

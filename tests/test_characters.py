@@ -16,6 +16,7 @@ from relsym.characters import (
     restricted_trivial_inner_product,
     trivial_character,
 )
+from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import class_size, enumerate_partitions, multiplicity_factorial
 from relsym.tableaux import kostka
@@ -47,7 +48,8 @@ def test_character_table_small():
 def test_character_table_bound():
     with pytest.raises(ResourceLimitError):
         character_table(13)
-    assert character_table(13, max_m=13)[(13,)][(13,)] == 1
+    with use_limits(max_character_table_m=13):
+        assert character_table(13)[(13,)][(13,)] == 1
 
 
 @pytest.mark.parametrize("m", range(1, 6))

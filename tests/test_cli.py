@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import relsym.cli as cli
 from relsym.cli import main
+from relsym.partitions import enumerate_gamma
 
 
 def run(capsys, *argv):
@@ -126,6 +132,27 @@ def test_symmetrize_rejects_boolean_character_values(capsys, tmp_path):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        # two notations of one transposition with contradictory values
+        ('{"()": 1, "(1 2)": 1, "(2 1)": -1}', "repeats an earlier permutation"),
+        # a verbatim repeated key, which json.load would silently overwrite
+        ('{"()": 1, "(1 2)": 1, "(1 2)": -1}', "repeats the key"),
+    ],
+)
+def test_symmetrize_rejects_repeated_character_keys(capsys, tmp_path, text, complaint):
+    path = tmp_path / "chi.json"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "symmetrize", "--generators", "(1 2)", "--character", str(path),
+        "--alpha", "1,0",
+    )
+    assert code == 1
+    assert out == ""
+    assert complaint in err
+
+
 def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, "denumerant", "--coins", "1,0", "--amount", "4")
     assert code == 1
@@ -171,6 +198,63 @@ def test_env_var_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("dim", "--m", "3", "--d", "2", "--partition", "2,1", "--max-gamma", "0"), None),
+        (("qchar", "--m", "3", "--d", "2", "--max-elements", "-1"), None),
+        (("qchar", "--m", "3", "--d", "2"), "0"),
+    ],
+)
+def test_non_positive_caps_rejected(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("RELSYM_MAX_ELEMENTS", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("character", "--partition", "500", "--class", ",".join(["1"] * 500)),
+        ("kostka", "--shape", "1000", "--content", ",".join(["1"] * 1000)),
+    ],
+)
+def test_deep_recursion_is_a_resource_limit(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "resource limit" in err
+    assert "Traceback" not in err
+
+
+def test_cli_caps_stay_in_their_thread(capsys, monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+
+    def blocking_report(*args, **kwargs):
+        entered.set()
+        release.wait(10)
+        return enumerate_gamma(3, 2)  # over this thread's cap of 2
+
+    monkeypatch.setattr(cli, "dimension_report", blocking_report)
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(
+            main(["dim", "--m", "3", "--d", "2", "--partition", "2,1", "--max-gamma", "2"])
+        )
+    )
+    worker.start()
+    try:
+        assert entered.wait(10)
+        assert len(enumerate_gamma(3, 2)) == 6
+    finally:
+        release.set()
+        worker.join(10)
+    assert codes == [2]
+    assert "exceeding the cap of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("denumerant", "--coins", "1,2", "--amount", "4"),
@@ -207,3 +291,58 @@ def test_json_symmetrize_round_trip(capsys, tmp_path):
     assert envelope["result"]["norm_squared"] == "1/2"
     rendered = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     assert rendered == out
+
+
+_MALFORMED = st.sampled_from(["", "a", "1,,2", "-1"])
+
+# the file-free subcommands: their integer options, list options and flags
+_SUBCOMMANDS = {
+    "denumerant": (("--amount",), ("--coins",), ("--series",)),
+    "qchar": (("--m", "--d"), (), ()),
+    "decompose": (("--m", "--d"), (), ()),
+    "kostka": ((), ("--shape", "--content"), ()),
+    "character": (("--table",), ("--partition", "--class"), ()),
+    "dim": (("--m", "--d"), ("--partition",), ("--verify",)),
+    "vanish": (("--m", "--d"), ("--partition",), ()),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    int_options, list_options, flags = _SUBCOMMANDS[command]
+    # integers are often n and lists often partitions of n, so that sizes,
+    # shapes, contents and classes often agree and the command runs
+    n = draw(st.integers(1, 6))
+
+    def partition_of_n():
+        cuts = [0, *(i for i in range(1, n) if draw(st.booleans())), n]
+        return sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True)
+
+    def value(option):
+        if not draw(st.integers(0, 7)):
+            return draw(_MALFORMED)
+        if option in int_options or option == "--max-gamma":
+            return str(draw(st.sampled_from([n, n, draw(st.integers(0, 6))])))
+        if draw(st.integers(0, 3)):
+            return ",".join(map(str, partition_of_n()))
+        return ",".join(map(str, draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))))
+
+    argv = [command]
+    for option in (*int_options, *list_options, "--max-gamma"):
+        if draw(st.integers(0, 7)):  # usually present
+            argv += [option, value(option)]
+    argv += [flag for flag in flags + ("--json",) if draw(st.booleans())]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "--json" in argv:
+        assert json.loads(out.getvalue())["command"] == argv[0]

@@ -15,6 +15,7 @@ from relsym.denumerant import (
     denumerant_series,
     verify_trace_identity,
 )
+from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import enumerate_partitions, gamma_size
 
@@ -88,8 +89,8 @@ def test_trace_identity_small(m, d):
 
 
 def test_trace_identity_cap():
-    with pytest.raises(ResourceLimitError):
-        verify_trace_identity(4, 4, max_gamma=3)
+    with use_limits(max_gamma=3), pytest.raises(ResourceLimitError):
+        verify_trace_identity(4, 4)
 
 
 def test_induced_route_examples():

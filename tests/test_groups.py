@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import subgroups, symmetric_group_elements
+from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.groups import (
     PermutationGroup,
@@ -73,8 +74,8 @@ def test_group_order_examples():
 
 
 def test_group_cap():
-    with pytest.raises(ResourceLimitError):
-        PermutationGroup(parse_generators("(1 2),(1 2 3 4 5)", 5), 5, max_order=100)
+    with use_limits(max_group_order=100), pytest.raises(ResourceLimitError):
+        PermutationGroup(parse_generators("(1 2),(1 2 3 4 5)", 5), 5)
 
 
 def test_symmetric_constructor():

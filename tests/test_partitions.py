@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import (
     check_partition,
@@ -131,8 +132,8 @@ def test_enumerate_gamma_cardinality(m, d):
 
 
 def test_enumerate_gamma_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_gamma(3, 2, max_elements=5)
+    with use_limits(max_gamma=5), pytest.raises(ResourceLimitError):
+        enumerate_gamma(3, 2)
 
 
 def test_orbit_representatives_examples():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import fraction_matrix_rank, subgroups, symmetric_group_elements
 from relsym.dimensions import dim_via_orbit_sum, is_nonvanishing
+from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.groups import PermutationGroup, parse_generators
 from relsym.linalg import rank
@@ -127,8 +128,8 @@ def test_character_sum_examples():
 
 
 def test_rank_cap():
-    with pytest.raises(ResourceLimitError):
-        dimension_by_rank(s3(), sn_character_spec(3, (2, 1)), 2, max_gamma=3)
+    with use_limits(max_gamma=3), pytest.raises(ResourceLimitError):
+        dimension_by_rank(s3(), sn_character_spec(3, (2, 1)), 2)
 
 
 def test_rank_equals_character_sum_on_s4_subgroups():
