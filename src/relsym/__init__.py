@@ -45,6 +45,7 @@ from .partitions import (
     multiplicity_factorial,
     multiplicity_partition,
     orbit_representatives,
+    orbit_type_counts,
 )
 from .symmetrizer import (
     CharacterSpec,

@@ -31,7 +31,7 @@ from .partitions import (
     enumerate_partitions,
     multiplicity_factorial,
 )
-from .tableaux import kostka
+from .tableaux import _kostka_column
 
 
 @lru_cache(maxsize=None)
@@ -210,10 +210,7 @@ def _induced_trivial_values(mu: Partition) -> tuple[int, ...]:
     table = character_table(m)
     classes = enumerate_partitions(m)
     values = [0] * len(classes)
-    for pi in classes:
-        coeff = kostka(pi, mu)
-        if coeff == 0:
-            continue
+    for pi, coeff in _kostka_column(mu).items():
         row = table[pi]
         for i, lam in enumerate(classes):
             values[i] += coeff * row[lam]

@@ -46,6 +46,14 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
 
 
+def _env_int(name: str) -> int | None:
+    text = os.environ.get(name)
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _format_partition(p: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
 
@@ -309,7 +317,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-elements",
         type=int,
-        default=os.environ.get(config.MAX_ELEMENTS_ENV),
+        default=None,
         help="cap on permutation group orders (also RELSYM_MAX_ELEMENTS)",
     )
     parser.add_argument(
@@ -400,6 +408,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if not exc.code else 1
     caps = {"max_gamma": args.max_gamma, "max_group_order": args.max_elements}
     try:
+        if args.max_elements is None:
+            caps["max_group_order"] = _env_int(config.MAX_ELEMENTS_ENV)
         with config.use_limits(**{k: v for k, v in caps.items() if v is not None}):
             args.func(args)
         return 0

@@ -6,7 +6,7 @@ exponent vectors of degree d, so the count is the trace of the permutation
 acting on degree-d monomials: a permutation character of the symmetric group
 on m = a1 + ... + an points.  This module computes it three independent
 ways: by dynamic programming over the coin values, as a sum of characters
-induced from the stabilizer Young subgroups (one per orbit of exponent
+induced from the stabilizer Young subgroups (one per orbit type of exponent
 vectors), and through the irreducible multiplicities that sum gives.
 Agreement of all three is the package's central cross-check.
 """
@@ -31,9 +31,9 @@ from .partitions import (
     enumerate_partitions,
     multiplicity_factorial,
     multiplicity_partition,
-    orbit_representatives,
+    orbit_type_counts,
 )
-from .tableaux import kostka
+from .tableaux import _kostka_column
 
 CoinSystem = tuple[int, ...]
 
@@ -56,9 +56,14 @@ def denumerant(coins: Sequence[int], d: int) -> int:
         raise ValueError("amount must be non-negative")
     counts = [1] + [0] * d
     for a in coins:
-        for j in range(a, d + 1):
-            counts[j] += counts[j - a]
+        _add_coin(counts, a)
     return counts[d]
+
+
+def _add_coin(counts: list[int], a: int) -> None:
+    """Extend the solution counts for amounts 0..len-1 by one coin ``a``."""
+    for j in range(a, len(counts)):
+        counts[j] += counts[j - a]
 
 
 def denumerant_series(coins: Sequence[int], d_max: int) -> list[int]:
@@ -87,14 +92,25 @@ def denumerant_series(coins: Sequence[int], d_max: int) -> list[int]:
 
 def denumerant_class_function(m: int, d: int) -> ClassFunction:
     """The trace function of degree-d monomial permutation: its value on a
-    cycle type equals the denumerant with that type as coin system."""
+    cycle type equals the denumerant with that type as coin system.  Cycle
+    types sharing a prefix share its coin DP: one walk of the partition tree.
+    """
     if m < 1:
         raise ValueError("degree must be at least 1")
     if d < 0:
         raise ValueError("amount must be non-negative")
-    return class_function_from_ints(
-        m, {lam: denumerant(lam, d) for lam in enumerate_partitions(m)}
-    )
+    values: dict[Partition, int] = {}
+
+    def walk(remaining: int, prefix: Partition, counts: list[int]) -> None:
+        if remaining == 0:
+            values[prefix] = counts[d]
+        for a in range(min(remaining, prefix[-1] if prefix else m), 0, -1):
+            grown = counts.copy()
+            _add_coin(grown, a)
+            walk(remaining - a, prefix + (a,), grown)
+
+    walk(m, (), [1] + [0] * d)
+    return class_function_from_ints(m, values)
 
 
 def verify_trace_identity(m: int, d: int) -> bool:
@@ -115,12 +131,12 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
     """Reassemble the denumerant class function from characters induced from
     exponent-vector stabilizers.
 
-    The default path sums one induced trivial character per orbit of
-    Gamma(m, d), keyed by the multiplicity partition of the orbit
-    representative.  With ``literal=True``, the full average over all of
-    Gamma(m, d) is computed instead, weighting each vector by its stabilizer
-    order; that path repeats every orbit exactly enough to cancel the group
-    order and exists only as a small-size cross-check.
+    The default path sums, over the orbit types of Gamma(m, d), the orbit
+    count times the character induced from the type's Young subgroup.  With
+    ``literal=True``, the full average over all of Gamma(m, d) is computed
+    instead, weighting each vector by its stabilizer order; that path
+    repeats every orbit exactly enough to cancel the group order and exists
+    only as a small-size cross-check.
     """
     if m < 1:
         raise ValueError("degree must be at least 1")
@@ -129,10 +145,10 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
     classes = enumerate_partitions(m)
     totals = [Fraction(0)] * len(classes)
     if not literal:
-        for nu in orbit_representatives(m, d):
-            induced = induced_trivial_character(multiplicity_partition(nu))
+        for shape, count in orbit_type_counts(m, d).items():
+            induced = induced_trivial_character(shape)
             for i, lam in enumerate(classes):
-                totals[i] += induced.values[lam]
+                totals[i] += count * induced.values[lam]
         return ClassFunction(m, dict(zip(classes, totals)))
     for alpha in enumerate_gamma(m, d):
         stab = multiplicity_partition(alpha)
@@ -146,17 +162,16 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
     """Multiplicity of each irreducible character in the denumerant class
-    function: the Kostka column sums over the orbit multiplicity partitions."""
+    function: the Kostka columns K(-, type) of the orbit types, weighted by
+    their orbit counts."""
     if m < 1:
         raise ValueError("degree must be at least 1")
     if d < 0:
         raise ValueError("amount must be non-negative")
-    stabilizer_shapes = [
-        multiplicity_partition(nu) for nu in orbit_representatives(m, d)
-    ]
-    out: dict[Partition, int] = {}
-    for pi in enumerate_partitions(m):
-        out[pi] = sum(kostka(pi, shape) for shape in stabilizer_shapes)
+    out = dict.fromkeys(enumerate_partitions(m), 0)
+    for shape, count in orbit_type_counts(m, d).items():
+        for pi, k in _kostka_column(shape).items():
+            out[pi] += count * k
     return out
 
 

@@ -26,11 +26,12 @@ from .errors import ConsistencyError
 from .partitions import (
     ExponentVector,
     Partition,
+    _multiplicities,
+    _orbit_stream,
     check_partition,
     dominates,
     gamma_size,
-    multiplicity_partition,
-    orbit_representatives,
+    orbit_type_counts,
 )
 from .symmetrizer import dimension_by_rank, sn_character_spec
 
@@ -49,13 +50,13 @@ def _check_args(m: int, d: int, pi: Sequence[int]) -> Partition:
 
 
 def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
-    """Character degree times the sum, over one exponent vector per orbit,
-    of the trivial-restriction multiplicity on the orbit stabilizer.
-    Orbits whose stabilizer admits no trivial constituent contribute 0."""
+    """Character degree times the sum, over orbit types weighted by their
+    orbit counts, of the trivial-restriction multiplicity on the stabilizer.
+    Types whose stabilizer admits no trivial constituent contribute 0."""
     pi = _check_args(m, d, pi)
     total = 0
-    for nu in orbit_representatives(m, d):
-        total += restricted_trivial_inner_product(pi, multiplicity_partition(nu))
+    for shape, count in orbit_type_counts(m, d).items():
+        total += count * restricted_trivial_inner_product(pi, shape)
     return _degree(pi) * total
 
 
@@ -85,10 +86,10 @@ def is_nonvanishing(
     """Whether the symmetrized space is non-zero: true exactly when some
     exponent vector has a multiplicity partition dominated by ``pi``.
     Returns the first witnessing orbit representative in reverse
-    lexicographic order, or None."""
+    lexicographic order, or None, streaming the representatives until then."""
     pi = _check_args(m, d, pi)
-    for nu in orbit_representatives(m, d):
-        if dominates(pi, multiplicity_partition(nu)):
+    for nu in _orbit_stream(m, d):
+        if dominates(pi, _multiplicities(nu)):
             return True, nu
     return False, None
 

@@ -71,7 +71,10 @@ def multiplicity_partition(alpha: Sequence[int]) -> Partition:
     Values that do not occur contribute nothing, so the result is a genuine
     partition of ``len(alpha)``.
     """
-    alpha = check_exponent_vector(alpha)
+    return _multiplicities(check_exponent_vector(alpha))
+
+
+def _multiplicities(alpha: ExponentVector) -> Partition:
     return tuple(sorted(Counter(alpha).values(), reverse=True))
 
 
@@ -151,14 +154,23 @@ def orbit_representatives(m: int, d: int) -> list[ExponentVector]:
     The orbit of a representative ``nu`` has size
     ``m! / multiplicity_factorial(multiplicity_partition(nu))``.
     """
+    return list(_orbit_stream(m, d))
+
+
+def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
+    """The representatives of :func:`orbit_representatives`, one at a time."""
     if m < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be non-negative")
-    reps = []
-    for p in enumerate_partitions(d, max_length=m):
-        reps.append(p + (0,) * (m - len(p)))
-    return reps
+    for p in _partitions_desc(d, d, m):
+        yield p + (0,) * (m - len(p))
+
+
+def orbit_type_counts(m: int, d: int) -> Counter:
+    """How many orbits of Gamma(m, d) have each multiplicity partition (orbit
+    type), counted from the streamed representatives."""
+    return Counter(map(_multiplicities, _orbit_stream(m, d)))
 
 
 def centralizer_order(lam: Partition) -> int:

@@ -7,7 +7,8 @@ content ``pi`` (entry i appears pi[i-1] times); it is nonzero exactly when
 
 Fillings are built value by value as horizontal strips: all cells holding
 value i are added left-justified to the rows in one step, which keeps columns
-strict by construction and prunes dead partial fillings early.
+strict by construction (Pieri's rule).  ``kostka`` grows all shapes at once,
+one column K(-, pi) per content; ``count_fillings`` fills one given shape.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_partition, dominates
+from .partitions import Partition, check_partition
 
 
 @dataclass(frozen=True)
@@ -86,21 +87,6 @@ def _strip_additions(
     yield from rec(0, count, ())
 
 
-def _count_fillings(shape: Partition, content: tuple[int, ...]) -> int:
-    n_rows = len(shape)
-
-    @lru_cache(maxsize=None)
-    def rec(state: tuple[int, ...], idx: int) -> int:
-        if idx == len(content):
-            return 1 if state == shape else 0
-        total = 0
-        for grown in _strip_additions(state, shape, content[idx]):
-            total += rec(grown, idx + 1)
-        return total
-
-    return rec((0,) * n_rows, 0)
-
-
 def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape ``mu`` with the given content
     composition (zeros allowed, any order)."""
@@ -112,14 +98,36 @@ def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
         raise ValueError(
             f"content sums to {sum(content)} but the shape has {sum(mu)} cells"
         )
-    return _count_fillings(mu, content)
+
+    @lru_cache(maxsize=None)
+    def rec(state: tuple[int, ...], idx: int) -> int:
+        if idx == len(content):
+            return 1 if state == mu else 0
+        total = 0
+        for grown in _strip_additions(state, mu, content[idx]):
+            total += rec(grown, idx + 1)
+        return total
+
+    return rec((0,) * len(mu), 0)
+
+
+@lru_cache(maxsize=None)
+def _kostka_column(pi: Partition) -> dict[Partition, int]:
+    """The non-zero K(mu, pi) for all mu: strips of sizes pi[0], pi[1], ...
+    added to the empty shape, which has room for len(pi) rows."""
+    column = {(0,) * len(pi): 1}
+    for size in pi:
+        grown: dict[tuple[int, ...], int] = {}
+        for state, count in column.items():
+            for new in _strip_additions(state, (sum(pi),) * len(pi), size):
+                grown[new] = grown.get(new, 0) + count
+        column = grown
+    return {tuple(r for r in state if r): count for state, count in column.items()}
 
 
 @lru_cache(maxsize=None)
 def _kostka_cached(mu: Partition, pi: Partition) -> int:
-    if not dominates(mu, pi):
-        return 0
-    return _count_fillings(mu, pi)
+    return _kostka_column(pi).get(mu, 0)
 
 
 def kostka(mu: Sequence[int], pi: Sequence[int]) -> int:

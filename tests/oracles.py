@@ -3,15 +3,18 @@
 Nothing here imports the computation paths under test: solution counts come
 from nested enumeration, tableau counts from filtering raw fillings,
 character tables from coset actions plus Gram-Schmidt peeling, ranks
-from plain rational Gaussian elimination, and subgroup lists from closing
-element sets under products.
+from plain rational Gaussian elimination, subgroup lists from closing
+element sets under products, and orbit types and non-vanishing witnesses
+from filtering all multisets of exponents.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement, permutations
 
 
 def brute_force_denumerant(coins, d):
@@ -56,6 +59,51 @@ def brute_force_kostka(shape, content):
         if ok:
             count += 1
     return count
+
+
+@lru_cache(maxsize=None)
+def weakly_decreasing_vectors(m, d):
+    """Every weakly decreasing m-tuple of non-negative integers summing to
+    d, in reverse-lexicographic order, by filtering all size-m multisets
+    drawn from 0..d."""
+    return tuple(
+        sorted(
+            (
+                tuple(sorted(multiset, reverse=True))
+                for multiset in combinations_with_replacement(range(d + 1), m)
+                if sum(multiset) == d
+            ),
+            reverse=True,
+        )
+    )
+
+
+def multiplicity_type(vector):
+    """How often each distinct entry occurs, sorted descending."""
+    return tuple(sorted(Counter(vector).values(), reverse=True))
+
+
+def brute_force_orbit_types(m, d):
+    """How many weakly decreasing vectors (one per orbit) have each
+    multiplicity type."""
+    return Counter(multiplicity_type(v) for v in weakly_decreasing_vectors(m, d))
+
+
+def _majorizes(mu, pi):
+    """Every prefix sum of ``pi`` is at most that of ``mu`` (equal weights)."""
+    width = max(len(mu), len(pi))
+    mu_sums = accumulate(tuple(mu) + (0,) * (width - len(mu)))
+    pi_sums = accumulate(tuple(pi) + (0,) * (width - len(pi)))
+    return all(b <= a for a, b in zip(mu_sums, pi_sums))
+
+
+def brute_force_witness(m, d, pi):
+    """The first weakly decreasing vector, in reverse-lexicographic order,
+    whose multiplicity type ``pi`` majorizes, or None."""
+    for vector in weakly_decreasing_vectors(m, d):
+        if _majorizes(pi, multiplicity_type(vector)):
+            return vector
+    return None
 
 
 def compose(p, q):

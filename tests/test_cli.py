@@ -197,6 +197,19 @@ def test_env_var_cap(capsys, monkeypatch):
     assert "group order exceeds" in err
 
 
+def test_malformed_env_var_cap_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("RELSYM_MAX_ELEMENTS", "abc")
+    code, out, err = run(capsys, "qchar", "--m", "3", "--d", "2")
+    assert code == 1
+    assert out == ""
+    assert "RELSYM_MAX_ELEMENTS" in err and "'abc'" in err
+    assert "--max-elements" not in err
+    # an explicit flag still overrides the malformed variable
+    code, out, _ = run(capsys, "qchar", "--m", "3", "--d", "2", "--max-elements", "5")
+    assert code == 0
+    assert out.strip() == "(3): 0, (2,1): 2, (1,1,1): 6"
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [

@@ -129,6 +129,19 @@ def test_three_routes_agree(m, d):
     assert by_counting == by_induction == by_decomposition
 
 
+@pytest.mark.parametrize("m,d", [(12, 28), (10, 30)])
+def test_three_routes_agree_at_larger_sizes(m, d):
+    by_counting = denumerant_class_function(m, d)
+    by_decomposition = class_function_from_decomposition(m, denumerant_decomposition(m, d))
+    assert by_counting == denumerant_by_induced_characters(m, d) == by_decomposition
+
+
+def test_prefix_shared_class_function_matches_per_class_counts():
+    values = denumerant_class_function(20, 30).values
+    for lam in enumerate_partitions(20):
+        assert values[lam] == denumerant(lam, 30) == denumerant_series(lam, 30)[30]
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 @pytest.mark.parametrize("d", range(0, 11))
 def test_decomposition_shape(m, d):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from oracles import brute_force_witness
 from relsym.dimensions import (
     dim_via_decomposition,
     dim_via_inner_product,
@@ -58,6 +61,26 @@ def test_nonvanishing_examples():
     assert is_nonvanishing(3, 2, (1, 1, 1)) == (False, None)
     assert is_nonvanishing(3, 3, (1, 1, 1)) == (True, (2, 1, 0))
     assert is_nonvanishing(5, 1, (4, 1)) == (True, (1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("d", range(0, 11))
+def test_witness_is_first_dominated_vector(m, d):
+    for pi in enumerate_partitions(m):
+        witness = brute_force_witness(m, d, pi)
+        assert is_nonvanishing(m, d, pi) == (witness is not None, witness)
+
+
+def test_witness_search_stops_at_the_witness():
+    # (30, 60) has about 10**6 orbits; the first one is the witness
+    tracemalloc.start()
+    try:
+        result = is_nonvanishing(30, 60, (30,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (True, (60,) + (0,) * 29)
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("m", range(1, 8))

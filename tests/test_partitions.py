@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import brute_force_orbit_types
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import (
@@ -16,6 +17,7 @@ from relsym.partitions import (
     multiplicity_factorial,
     multiplicity_partition,
     orbit_representatives,
+    orbit_type_counts,
 )
 
 
@@ -151,6 +153,21 @@ def test_orbit_sizes_partition_gamma(m, d):
         orbit_size, rem = divmod(math.factorial(m), stab)
         assert rem == 0
         total += orbit_size
+    assert total == gamma_size(m, d)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("d", range(0, 9))
+def test_orbit_type_counts_match_brute_force(m, d):
+    assert orbit_type_counts(m, d) == brute_force_orbit_types(m, d)
+
+
+@pytest.mark.parametrize("m,d", [(12, 28), (20, 40), (24, 50)])
+def test_orbit_type_counts_cover_gamma(m, d):
+    total = sum(
+        count * (math.factorial(m) // multiplicity_factorial(shape))
+        for shape, count in orbit_type_counts(m, d).items()
+    )
     assert total == gamma_size(m, d)
 
 

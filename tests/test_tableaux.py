@@ -31,6 +31,14 @@ def test_kostka_matches_brute_force(m):
             assert kostka(mu, pi) == brute_force_kostka(mu, pi)
 
 
+@pytest.mark.parametrize("m", range(0, 10))
+def test_kostka_columns_match_per_shape_fillings(m):
+    partitions = enumerate_partitions(m)
+    for mu in partitions:
+        for pi in partitions:
+            assert kostka(mu, pi) == count_fillings(mu, pi)
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_kostka_positive_iff_dominates(m):
     for mu in enumerate_partitions(m):
