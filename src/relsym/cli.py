@@ -4,11 +4,15 @@ Every subcommand prints plain text by default and a stable JSON envelope
 ``{command, inputs, result, cross_checks}`` with ``--json``.  Exit codes:
 0 success, 1 bad input, 2 a size cap was exceeded, 3 an internal consistency
 check failed (always a bug).
+
+``cross_checks`` is non-empty only under ``dim --verify``, which lists each
+agreement it checked as ``[name, passed]``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,10 +68,10 @@ def _json_value(v):
     return v
 
 
-def _emit(args, command: str, inputs: dict, result, cross_checks, text: str) -> None:
+def _emit(args, inputs: dict, result, text: str, cross_checks=()) -> None:
     if args.json:
         envelope = {
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "result": result,
             "cross_checks": [[name, bool(ok)] for name, ok in cross_checks],
@@ -77,71 +81,42 @@ def _emit(args, command: str, inputs: dict, result, cross_checks, text: str) -> 
         print(text)
 
 
+def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
+    """One row per partition of ``args.m``: its integer ``values[p]``, keyed
+    by ``names``."""
+    order = enumerate_partitions(args.m)
+    rows = [{names[0]: list(p), names[1]: int(values[p])} for p in order]
+    text = ", ".join(f"{_format_partition(p)}: {int(values[p])}" for p in order)
+    _emit(args, {"m": args.m, "d": args.d}, {key: rows}, text)
+
+
 def _cmd_denumerant(args) -> None:
     coins = _parse_ints(args.coins, "--coins")
     if args.series:
         values = denumerant_series(coins, args.amount)
-        _emit(
-            args,
-            "denumerant",
-            {"coins": list(coins), "amount": args.amount, "series": True},
-            {"series": values},
-            [],
-            " ".join(str(v) for v in values),
-        )
+        result, text = {"series": values}, " ".join(str(v) for v in values)
     else:
         value = denumerant(coins, args.amount)
-        _emit(
-            args,
-            "denumerant",
-            {"coins": list(coins), "amount": args.amount, "series": False},
-            {"count": value},
-            [],
-            str(value),
-        )
+        result, text = {"count": value}, str(value)
+    inputs = {"coins": list(coins), "amount": args.amount, "series": args.series}
+    _emit(args, inputs, result, text)
 
 
 def _cmd_qchar(args) -> None:
     cf = denumerant_class_function(args.m, args.d)
-    classes = enumerate_partitions(args.m)
-    rows = [{"cycle_type": list(lam), "value": int(cf.values[lam])} for lam in classes]
-    text = ", ".join(
-        f"{_format_partition(lam)}: {int(cf.values[lam])}" for lam in classes
-    )
-    _emit(args, "qchar", {"m": args.m, "d": args.d}, {"classes": rows}, [], text)
+    _emit_per_partition(args, cf.values, "classes", ("cycle_type", "value"))
 
 
 def _cmd_decompose(args) -> None:
     decomposition = denumerant_decomposition(args.m, args.d)
-    order = enumerate_partitions(args.m)
-    rows = [
-        {"partition": list(pi), "multiplicity": decomposition[pi]} for pi in order
-    ]
-    text = ", ".join(
-        f"{_format_partition(pi)}: {decomposition[pi]}" for pi in order
-    )
-    _emit(
-        args,
-        "decompose",
-        {"m": args.m, "d": args.d},
-        {"multiplicities": rows},
-        [],
-        text,
-    )
+    _emit_per_partition(args, decomposition, "multiplicities", ("partition", "multiplicity"))
 
 
 def _cmd_kostka(args) -> None:
     shape = check_partition(_parse_ints(args.shape, "--shape"))
     content = check_exponent_vector(_parse_ints(args.content, "--content"))
     value = count_fillings(shape, content)
-    _emit(
-        args,
-        "kostka",
-        {"shape": list(shape), "content": list(content)},
-        {"kostka": value},
-        [],
-        str(value),
-    )
+    _emit(args, {"shape": list(shape), "content": list(content)}, {"kostka": value}, str(value))
 
 
 def _cmd_character(args) -> None:
@@ -152,33 +127,20 @@ def _cmd_character(args) -> None:
             {"partition": list(pi), "values": [table[pi][lam] for lam in classes]}
             for pi in classes
         ]
-        header = "classes: " + " ".join(_format_partition(lam) for lam in classes)
-        lines = [header]
-        for pi in classes:
-            values = " ".join(str(table[pi][lam]) for lam in classes)
-            lines.append(f"{_format_partition(pi)}: {values}")
-        _emit(
-            args,
-            "character",
-            {"table": args.table},
-            {"classes": [list(lam) for lam in classes], "rows": rows},
-            [],
-            "\n".join(lines),
-        )
+        lines = ["classes: " + " ".join(_format_partition(lam) for lam in classes)]
+        lines += [
+            _format_partition(row["partition"]) + ": " + " ".join(map(str, row["values"]))
+            for row in rows
+        ]
+        result = {"classes": [list(lam) for lam in classes], "rows": rows}
+        _emit(args, {"table": args.table}, result, "\n".join(lines))
         return
     if not args.partition or not args.cls:
         raise ValueError("need either --table M or both --partition and --class")
     pi = check_partition(_parse_ints(args.partition, "--partition"))
     lam = check_partition(_parse_ints(args.cls, "--class"))
     value = irreducible_character_value(pi, lam)
-    _emit(
-        args,
-        "character",
-        {"partition": list(pi), "class": list(lam)},
-        {"value": value},
-        [],
-        str(value),
-    )
+    _emit(args, {"partition": list(pi), "class": list(lam)}, {"value": value}, str(value))
 
 
 def _cmd_dim(args) -> None:
@@ -211,24 +173,10 @@ def _cmd_dim(args) -> None:
     lines.append(
         "witness: " + (_format_partition(witness) if witness is not None else "none")
     )
-    result = {
-        "m": report.m,
-        "d": report.d,
-        "partition": list(report.pi),
-        "dim_orbit_sum": report.dim_orbit_sum,
-        "dim_inner_product": report.dim_inner_product,
-        "dim_decomposition": report.dim_decomposition,
-        "rank_dimension": report.rank_dimension,
-        "nonvanishing_witness": list(witness) if witness is not None else None,
-    }
-    _emit(
-        args,
-        "dim",
-        {"m": args.m, "d": args.d, "partition": list(pi), "verify": bool(args.verify)},
-        result,
-        cross_checks,
-        "\n".join(lines),
-    )
+    result = dataclasses.asdict(report)
+    result["partition"] = result.pop("pi")
+    inputs = {"m": args.m, "d": args.d, "partition": list(pi), "verify": args.verify}
+    _emit(args, inputs, result, "\n".join(lines), cross_checks)
 
 
 def _cmd_vanish(args) -> None:
@@ -238,17 +186,8 @@ def _cmd_vanish(args) -> None:
         text = f"non-vanishing (witness {_format_partition(witness)})"
     else:
         text = "vanishes (no witness)"
-    _emit(
-        args,
-        "vanish",
-        {"m": args.m, "d": args.d, "partition": list(pi)},
-        {
-            "nonvanishing": nonzero,
-            "witness": list(witness) if witness is not None else None,
-        },
-        [],
-        text,
-    )
+    result = {"nonvanishing": nonzero, "witness": list(witness) if witness is not None else None}
+    _emit(args, {"m": args.m, "d": args.d, "partition": list(pi)}, result, text)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -298,92 +237,45 @@ def _cmd_symmetrize(args) -> None:
         ],
         "norm_squared": _json_value(norm),
     }
-    _emit(
-        args,
-        "symmetrize",
-        {
-            "generators": args.generators,
-            "character": args.character,
-            "alpha": list(alpha),
-        },
-        result,
-        [],
-        "\n".join(lines),
-    )
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    parser.add_argument(
-        "--max-elements",
-        type=int,
-        default=None,
-        help="cap on permutation group orders (also RELSYM_MAX_ELEMENTS)",
-    )
-    parser.add_argument(
-        "--max-gamma",
-        type=int,
-        default=None,
-        help="cap on the number of exponent vectors enumerated",
-    )
+    inputs = {"generators": args.generators, "character": args.character, "alpha": list(alpha)}
+    _emit(args, inputs, result, "\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(prog="relsym", description=__doc__)
+    # the docstring's last paragraph is for readers of this module, not of --help
+    parser = _CliParser(prog="relsym", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("denumerant", help="count coin-change solutions")
+    def add(name, func, help, *int_flags):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in int_flags:
+            p.add_argument(flag, required=True, type=int)
+        return p
+
+    p = add("denumerant", _cmd_denumerant, "count coin-change solutions")
     p.add_argument("--coins", required=True, help="comma-separated coin values")
     p.add_argument("--amount", required=True, type=int, help="amount to pay")
     p.add_argument("--series", action="store_true", help="all amounts up to --amount")
-    _add_common(p)
-    p.set_defaults(func=_cmd_denumerant)
-
-    p = sub.add_parser("qchar", help="solution counts per cycle type")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_qchar)
-
-    p = sub.add_parser("decompose", help="irreducible multiplicities of the counts")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("kostka", help="count semistandard tableaux")
+    add("qchar", _cmd_qchar, "solution counts per cycle type", "--m", "--d")
+    add("decompose", _cmd_decompose, "irreducible multiplicities of the counts", "--m", "--d")
+    p = add("kostka", _cmd_kostka, "count semistandard tableaux")
     p.add_argument("--shape", required=True, help="shape partition, e.g. 3,2")
     p.add_argument("--content", required=True, help="content composition, e.g. 2,2,1")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kostka)
-
-    p = sub.add_parser("character", help="symmetric group character values")
+    p = add("character", _cmd_character, "symmetric group character values")
     p.add_argument("--partition", help="character partition")
     p.add_argument("--class", dest="cls", help="class cycle type")
     p.add_argument("--table", type=int, help="print the full table of this degree")
-    _add_common(p)
-    p.set_defaults(func=_cmd_character)
-
-    p = sub.add_parser("dim", help="dimension of the symmetrized space")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
+    p = add("dim", _cmd_dim, "dimension of the symmetrized space", "--m", "--d")
     p.add_argument("--partition", required=True)
     p.add_argument(
         "--verify",
         action="store_true",
         help="cross-check all formulas (plus the rank construction at small sizes)",
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("vanish", help="non-vanishing criterion with witness")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
+    p = add("vanish", _cmd_vanish, "non-vanishing criterion with witness", "--m", "--d")
     p.add_argument("--partition", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_vanish)
-
-    p = sub.add_parser("symmetrize", help="symmetrize a monomial over a group")
+    p = add("symmetrize", _cmd_symmetrize, "symmetrize a monomial over a group")
     p.add_argument(
         "--generators", required=True, help='cycle notation, e.g. "(1 2),(1 2 3)"'
     )
@@ -391,9 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--character", required=True, help="JSON file of class representative values"
     )
     p.add_argument("--alpha", required=True, help="exponent vector, e.g. 2,0,0")
-    _add_common(p)
-    p.set_defaults(func=_cmd_symmetrize)
 
+    # after each subcommand's own options, so they close every option list
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+        p.add_argument(
+            "--max-elements",
+            type=int,
+            help="cap on permutation group orders (also RELSYM_MAX_ELEMENTS)",
+        )
+        p.add_argument(
+            "--max-gamma", type=int, help="cap on the number of exponent vectors enumerated"
+        )
     return parser
 
 
@@ -413,10 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with config.use_limits(**{k: v for k, v in caps.items() if v is not None}):
             args.func(args)
         return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -90,15 +90,19 @@ def denumerant_series(coins: Sequence[int], d_max: int) -> list[int]:
     return series
 
 
+def _check_degree_amount(m: int, d: int) -> None:
+    if m < 1:
+        raise ValueError("degree must be at least 1")
+    if d < 0:
+        raise ValueError("amount must be non-negative")
+
+
 def denumerant_class_function(m: int, d: int) -> ClassFunction:
     """The trace function of degree-d monomial permutation: its value on a
     cycle type equals the denumerant with that type as coin system.  Cycle
     types sharing a prefix share its coin DP: one walk of the partition tree.
     """
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if d < 0:
-        raise ValueError("amount must be non-negative")
+    _check_degree_amount(m, d)
     values: dict[Partition, int] = {}
 
     def walk(remaining: int, prefix: Partition, counts: list[int]) -> None:
@@ -138,10 +142,7 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
     repeats every orbit exactly enough to cancel the group order and exists
     only as a small-size cross-check.
     """
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if d < 0:
-        raise ValueError("amount must be non-negative")
+    _check_degree_amount(m, d)
     classes = enumerate_partitions(m)
     totals = [Fraction(0)] * len(classes)
     if not literal:
@@ -164,10 +165,7 @@ def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
     """Multiplicity of each irreducible character in the denumerant class
     function: the Kostka columns K(-, type) of the orbit types, weighted by
     their orbit counts."""
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if d < 0:
-        raise ValueError("amount must be non-negative")
+    _check_degree_amount(m, d)
     out = dict.fromkeys(enumerate_partitions(m), 0)
     for shape, count in orbit_type_counts(m, d).items():
         for pi, k in _kostka_column(shape).items():

@@ -125,6 +125,13 @@ def _vectors_lex(m: int, d: int) -> Iterator[ExponentVector]:
             yield (first,) + rest
 
 
+def _check_gamma_args(m: int, d: int) -> None:
+    if m < 1:
+        raise ValueError("need at least one variable")
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+
+
 def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
     """All m-tuples of non-negative integers summing to ``d``, in
     lexicographic order.
@@ -132,10 +139,7 @@ def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
     Refuses to materialize more than ``limits().max_gamma`` tuples; formula
     paths that scale past the cap work from orbit representatives instead.
     """
-    if m < 1:
-        raise ValueError("need at least one variable")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    _check_gamma_args(m, d)
     cap = limits().max_gamma
     size = gamma_size(m, d)
     if size > cap:
@@ -159,10 +163,7 @@ def orbit_representatives(m: int, d: int) -> list[ExponentVector]:
 
 def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
     """The representatives of :func:`orbit_representatives`, one at a time."""
-    if m < 1:
-        raise ValueError("need at least one variable")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    _check_gamma_args(m, d)
     for p in _partitions_desc(d, d, m):
         yield p + (0,) * (m - len(p))
 

@@ -7,8 +7,9 @@ content ``pi`` (entry i appears pi[i-1] times); it is nonzero exactly when
 
 Fillings are built value by value as horizontal strips: all cells holding
 value i are added left-justified to the rows in one step, which keeps columns
-strict by construction (Pieri's rule).  ``kostka`` grows all shapes at once,
-one column K(-, pi) per content; ``count_fillings`` fills one given shape.
+strict by construction (Pieri's rule).  A single pair, through ``kostka`` or
+``count_fillings``, fills its one given shape; batch callers read a whole
+column K(-, pi) from ``_kostka_column``, which grows all shapes at once.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def _strip_additions(
     yield from rec(0, count, ())
 
 
-def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
-    """Number of semistandard tableaux of shape ``mu`` with the given content
-    composition (zeros allowed, any order)."""
+def _check_filling(
+    mu: Sequence[int], content: Sequence[int]
+) -> tuple[Partition, tuple[int, ...]]:
+    """A shape and a content composition (zeros allowed) of equal weight."""
     mu = check_partition(mu)
     content = tuple(int(c) for c in content)
     if any(c < 0 for c in content):
@@ -98,6 +100,13 @@ def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
         raise ValueError(
             f"content sums to {sum(content)} but the shape has {sum(mu)} cells"
         )
+    return mu, content
+
+
+def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
+    """Number of semistandard tableaux of shape ``mu`` with the given content
+    composition (zeros allowed, any order)."""
+    mu, content = _check_filling(mu, content)
 
     @lru_cache(maxsize=None)
     def rec(state: tuple[int, ...], idx: int) -> int:
@@ -127,7 +136,7 @@ def _kostka_column(pi: Partition) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def _kostka_cached(mu: Partition, pi: Partition) -> int:
-    return _kostka_column(pi).get(mu, 0)
+    return count_fillings(mu, pi)
 
 
 def kostka(mu: Sequence[int], pi: Sequence[int]) -> int:
@@ -142,14 +151,7 @@ def kostka(mu: Sequence[int], pi: Sequence[int]) -> int:
 def enumerate_ssyt(mu: Sequence[int], content: Sequence[int]) -> list[Tableau]:
     """All semistandard tableaux of shape ``mu`` whose entry i occurs
     ``content[i-1]`` times, sorted by reading word."""
-    mu = check_partition(mu)
-    content = tuple(int(c) for c in content)
-    if any(c < 0 for c in content):
-        raise ValueError(f"content entries must be non-negative, got {content}")
-    if sum(content) != sum(mu):
-        raise ValueError(
-            f"content sums to {sum(content)} but the shape has {sum(mu)} cells"
-        )
+    mu, content = _check_filling(mu, content)
     n_rows = len(mu)
     results: list[Tableau] = []
 

@@ -359,3 +359,156 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0 and "--json" in argv:
         assert json.loads(out.getvalue())["command"] == argv[0]
+
+
+_PINNED_ENVELOPES = [
+    (
+        ("denumerant", "--coins", "1,2", "--amount", "4"),
+        {"coins": [1, 2], "amount": 4, "series": False},
+        {"count": 3},
+    ),
+    (
+        ("denumerant", "--coins", "1,2", "--amount", "5", "--series"),
+        {"coins": [1, 2], "amount": 5, "series": True},
+        {"series": [1, 1, 2, 2, 3, 3]},
+    ),
+    (
+        ("qchar", "--m", "3", "--d", "2"),
+        {"m": 3, "d": 2},
+        {"classes": [
+            {"cycle_type": [3], "value": 0},
+            {"cycle_type": [2, 1], "value": 2},
+            {"cycle_type": [1, 1, 1], "value": 6},
+        ]},
+    ),
+    (
+        ("decompose", "--m", "3", "--d", "2"),
+        {"m": 3, "d": 2},
+        {"multiplicities": [
+            {"partition": [3], "multiplicity": 2},
+            {"partition": [2, 1], "multiplicity": 2},
+            {"partition": [1, 1, 1], "multiplicity": 0},
+        ]},
+    ),
+    (
+        ("kostka", "--shape", "3,2", "--content", "2,2,1"),
+        {"shape": [3, 2], "content": [2, 2, 1]},
+        {"kostka": 2},
+    ),
+    (
+        ("character", "--table", "3"),
+        {"table": 3},
+        {
+            "classes": [[3], [2, 1], [1, 1, 1]],
+            "rows": [
+                {"partition": [3], "values": [1, 1, 1]},
+                {"partition": [2, 1], "values": [-1, 0, 2]},
+                {"partition": [1, 1, 1], "values": [1, -1, 1]},
+            ],
+        },
+    ),
+    (
+        ("character", "--partition", "2,1", "--class", "3"),
+        {"partition": [2, 1], "class": [3]},
+        {"value": -1},
+    ),
+    (
+        ("vanish", "--m", "3", "--d", "3", "--partition", "1,1,1"),
+        {"m": 3, "d": 3, "partition": [1, 1, 1]},
+        {"nonvanishing": True, "witness": [2, 1, 0]},
+    ),
+]
+
+_DIM_VERIFY = ("dim", "--m", "3", "--d", "2", "--partition", "2,1", "--verify")
+
+
+def _assert_envelope(out, command, inputs, result, cross_checks):
+    envelope = {
+        "command": command,
+        "inputs": inputs,
+        "result": result,
+        "cross_checks": cross_checks,
+    }
+    assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, inputs, result", _PINNED_ENVELOPES)
+def test_json_envelope_is_pinned(capsys, argv, inputs, result):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    _assert_envelope(out, argv[0], inputs, result, [])
+
+
+def test_dim_verify_output_is_pinned(capsys):
+    code, out, err = run(capsys, *_DIM_VERIFY, "--json")
+    assert (code, err) == (0, "")
+    _assert_envelope(
+        out,
+        "dim",
+        {"m": 3, "d": 2, "partition": [2, 1], "verify": True},
+        {
+            "m": 3,
+            "d": 2,
+            "partition": [2, 1],
+            "dim_orbit_sum": 4,
+            "dim_inner_product": 4,
+            "dim_decomposition": 4,
+            "rank_dimension": 4,
+            "nonvanishing_witness": [2, 0, 0],
+        },
+        [
+            ["orbit_sum equals inner_product", True],
+            ["orbit_sum equals decomposition", True],
+            ["non-vanishing matches positivity", True],
+            ["rank equals formulas", True],
+        ],
+    )
+    code, out, err = run(capsys, *_DIM_VERIFY)
+    assert (code, err) == (0, "")
+    assert out == (
+        "m=3 d=2 partition=(2,1)\n"
+        "dimension: 4\n"
+        "  orbit sum:      4\n"
+        "  inner product:  4\n"
+        "  decomposition:  4\n"
+        "  matrix rank:    4\n"
+        "witness: (2,0,0)\n"
+    )
+
+
+def test_symmetrize_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"()": 2, "(1 2)": 0, "(1 2 3)": -1}))
+    argv = ("symmetrize", "--generators", "(1 2),(1 2 3)", "--character", str(path),
+            "--alpha", "1,1,0")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    _assert_envelope(
+        out,
+        "symmetrize",
+        {"generators": "(1 2),(1 2 3)", "character": str(path), "alpha": [1, 1, 0]},
+        {
+            "coefficients": [
+                {"exponent": [0, 1, 1], "coefficient": "-1/3"},
+                {"exponent": [1, 0, 1], "coefficient": "-1/3"},
+                {"exponent": [1, 1, 0], "coefficient": "2/3"},
+            ],
+            "norm_squared": "2/3",
+        },
+        [],
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "(0,1,1): -1/3\n(1,0,1): -1/3\n(1,1,0): 2/3\nnorm_squared: 2/3\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["denumerant", "qchar", "decompose", "kostka", "character", "dim", "vanish", "symmetrize"],
+)
+def test_help_ends_with_the_shared_options(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    options = [line.split()[0].rstrip(",") for line in out.splitlines() if line.startswith("  -")]
+    assert options[0] == "-h"
+    assert options[-3:] == ["--json", "--max-elements", "--max-gamma"]

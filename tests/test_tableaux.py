@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_kostka, hook_length_dimension
 from relsym.partitions import dominates, enumerate_partitions, multiplicity_factorial
-from relsym.tableaux import Tableau, count_fillings, enumerate_ssyt, kostka
+from relsym.tableaux import Tableau, _kostka_column, count_fillings, enumerate_ssyt, kostka
 
 
 def test_kostka_diagonal_is_one():
@@ -37,6 +37,20 @@ def test_kostka_columns_match_per_shape_fillings(m):
     for mu in partitions:
         for pi in partitions:
             assert kostka(mu, pi) == count_fillings(mu, pi)
+
+
+@pytest.mark.parametrize("m", range(0, 10))
+def test_kostka_column_is_the_nonzero_fillings(m):
+    partitions = enumerate_partitions(m)
+    for pi in partitions:
+        fillings = {mu: count_fillings(mu, pi) for mu in partitions}
+        assert _kostka_column(pi) == {mu: k for mu, k in fillings.items() if k}
+
+
+def test_single_kostka_does_not_build_the_column():
+    before = _kostka_column.cache_info().currsize
+    assert kostka((30,), (1,) * 30) == 1
+    assert _kostka_column.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("m", range(1, 8))
