@@ -22,10 +22,10 @@ from typing import Sequence
 from . import config
 from .characters import character_table, irreducible_character_value
 from .denumerant import (
+    _denumerant_counts,
     denumerant,
     denumerant_class_function,
     denumerant_decomposition,
-    denumerant_series,
 )
 from .dimensions import dimension_report, is_nonvanishing
 from .errors import ConsistencyError, ResourceLimitError
@@ -93,7 +93,7 @@ def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
 def _cmd_denumerant(args) -> None:
     coins = _parse_ints(args.coins, "--coins")
     if args.series:
-        values = denumerant_series(coins, args.amount)
+        values = _denumerant_counts(coins, args.amount)
         result, text = {"series": values}, " ".join(str(v) for v in values)
     else:
         value = denumerant(coins, args.amount)
@@ -146,37 +146,17 @@ def _cmd_character(args) -> None:
 def _cmd_dim(args) -> None:
     pi = check_partition(_parse_ints(args.partition, "--partition"))
     report = dimension_report(args.m, args.d, pi, verify_rank=args.verify)
-    cross_checks = []
-    if args.verify:
-        cross_checks = [
-            ["orbit_sum equals inner_product", report.dim_orbit_sum == report.dim_inner_product],
-            ["orbit_sum equals decomposition", report.dim_orbit_sum == report.dim_decomposition],
-            [
-                "non-vanishing matches positivity",
-                (report.nonvanishing_witness is not None) == (report.dimension > 0),
-            ],
-        ]
-        if report.rank_dimension is not None:
-            cross_checks.append(
-                ["rank equals formulas", report.rank_dimension == report.dimension]
-            )
     witness = report.nonvanishing_witness
     lines = [
         f"m={report.m} d={report.d} partition={_format_partition(report.pi)}",
         f"dimension: {report.dimension}",
-        f"  orbit sum:      {report.dim_orbit_sum}",
-        f"  inner product:  {report.dim_inner_product}",
-        f"  decomposition:  {report.dim_decomposition}",
+        *(f"  {name.replace('_', ' ') + ':':16}{value}" for name, value in report.by_route()),
+        "witness: " + (_format_partition(witness) if witness is not None else "none"),
     ]
-    if report.rank_dimension is not None:
-        lines.append(f"  matrix rank:    {report.rank_dimension}")
-    lines.append(
-        "witness: " + (_format_partition(witness) if witness is not None else "none")
-    )
     result = dataclasses.asdict(report)
     result["partition"] = result.pop("pi")
     inputs = {"m": args.m, "d": args.d, "partition": list(pi), "verify": args.verify}
-    _emit(args, inputs, result, "\n".join(lines), cross_checks)
+    _emit(args, inputs, result, "\n".join(lines), report.checks() if args.verify else ())
 
 
 def _cmd_vanish(args) -> None:

@@ -26,6 +26,7 @@ from .characters import (
 from .groups import apply_to_exponents, permutation_of_cycle_type
 from .partitions import (
     Partition,
+    _partition_walk,
     check_partition,
     enumerate_gamma,
     enumerate_partitions,
@@ -51,13 +52,18 @@ def denumerant(coins: Sequence[int], d: int) -> int:
     """Number of ways to pay ``d`` with unlimited coins of the given values
     (repeated values allowed, order irrelevant), by the standard
     one-dimensional dynamic program."""
+    return _denumerant_counts(coins, d)[d]
+
+
+def _denumerant_counts(coins: Sequence[int], d: int) -> list[int]:
+    """The denumerants of every amount 0..d, by the same dynamic program."""
     coins = check_coins(coins)
     if d < 0:
         raise ValueError("amount must be non-negative")
     counts = [1] + [0] * d
     for a in coins:
         _add_coin(counts, a)
-    return counts[d]
+    return counts
 
 
 def _add_coin(counts: list[int], a: int) -> None:
@@ -71,7 +77,8 @@ def denumerant_series(coins: Sequence[int], d_max: int) -> list[int]:
     the product of the geometric series 1/(1 - t**a) over the coins.
 
     Implemented as explicit polynomial multiplication so it shares no code
-    with :func:`denumerant`.
+    with :func:`denumerant`: it is the tests' independent reference, not the
+    path the CLI's ``denumerant --series`` takes.
     """
     coins = check_coins(coins)
     if d_max < 0:
@@ -100,20 +107,18 @@ def _check_degree_amount(m: int, d: int) -> None:
 def denumerant_class_function(m: int, d: int) -> ClassFunction:
     """The trace function of degree-d monomial permutation: its value on a
     cycle type equals the denumerant with that type as coin system.  Cycle
-    types sharing a prefix share its coin DP: one walk of the partition tree.
+    types sharing a prefix share its coin DP, kept on a stack along the walk.
     """
     _check_degree_amount(m, d)
     values: dict[Partition, int] = {}
-
-    def walk(remaining: int, prefix: Partition, counts: list[int]) -> None:
-        if remaining == 0:
-            values[prefix] = counts[d]
-        for a in range(min(remaining, prefix[-1] if prefix else m), 0, -1):
-            grown = counts.copy()
-            _add_coin(grown, a)
-            walk(remaining - a, prefix + (a,), grown)
-
-    walk(m, (), [1] + [0] * d)
+    stack = [[1] + [0] * d]  # stack[k]: the counts for the first k coins
+    for changed, lam in _partition_walk(m, m):
+        del stack[changed + 1:]
+        for a in lam[changed:]:
+            counts = stack[-1].copy()
+            _add_coin(counts, a)
+            stack.append(counts)
+        values[lam] = stack[-1][d]
     return class_function_from_ints(m, values)
 
 

@@ -5,9 +5,11 @@ non-vanishing criterion.
 The three routes share nothing beyond the character table: a sum of
 restriction multiplicities over exponent orbits, a character inner product
 against the solution-count class function, and the irreducible multiplicity
-taken from the decomposition of that class function.  Their agreement, and
-agreement with the exact-rank construction in the symmetrizer module, is the
-package's main acceptance surface.
+taken from the decomposition of that class function.  ``ROUTES`` names them
+in report order: route ``name`` is ``dim_via_<name>`` and fills the report
+field ``dim_<name>``.  Their agreement, and agreement with the exact-rank
+construction in the symmetrizer module, is the package's main acceptance
+surface; ``DimensionReport.checks`` lists each of those checks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .partitions import (
     orbit_type_counts,
 )
 from .symmetrizer import dimension_by_rank, sn_character_spec
+
+ROUTES = ("orbit_sum", "inner_product", "decomposition")
 
 
 def _degree(pi: Partition) -> int:
@@ -110,7 +114,26 @@ class DimensionReport:
 
     @property
     def dimension(self) -> int:
-        return self.dim_orbit_sum
+        return getattr(self, f"dim_{ROUTES[0]}")
+
+    def by_route(self) -> list[tuple[str, int]]:
+        """``(name, dimension)`` per route in order, then ``matrix_rank`` if it ran."""
+        out = [(name, getattr(self, f"dim_{name}")) for name in ROUTES]
+        if self.rank_dimension is not None:
+            out.append(("matrix_rank", self.rank_dimension))
+        return out
+
+    def checks(self) -> list[tuple[str, bool]]:
+        """Every agreement the report must satisfy, as ``(name, passed)``."""
+        out = [
+            (f"{ROUTES[0]} equals {name}", getattr(self, f"dim_{name}") == self.dimension)
+            for name in ROUTES[1:]
+        ]
+        positive = self.nonvanishing_witness is not None
+        out.append(("non-vanishing matches positivity", positive == (self.dimension > 0)))
+        if self.rank_dimension is not None:
+            out.append(("rank equals formulas", self.rank_dimension == self.dimension))
+        return out
 
 
 # rank verification stays affordable up to this many exponent vectors
@@ -125,40 +148,17 @@ def rank_verification_applies(m: int, d: int) -> bool:
 def dimension_report(
     m: int, d: int, pi: Sequence[int], verify_rank: bool = False
 ) -> DimensionReport:
-    """Compute all three formula dimensions, check agreement and the
-    non-vanishing criterion, and optionally (small sizes) confirm against
-    the exact-rank construction."""
+    """Compute every route in ``ROUTES``, the non-vanishing witness and, at
+    small sizes, the exact rank; raise if any of the report's checks fails."""
     pi = _check_args(m, d, pi)
-    orbit = dim_via_orbit_sum(m, d, pi)
-    pairing = dim_via_inner_product(m, d, pi)
-    decomposition = dim_via_decomposition(m, d, pi)
-    if not orbit == pairing == decomposition:
-        raise ConsistencyError(
-            f"dimension formulas disagree for m={m}, d={d}, pi={pi}: "
-            f"{orbit}, {pairing}, {decomposition}"
-        )
-    nonzero, witness = is_nonvanishing(m, d, pi)
-    if nonzero != (orbit > 0):
-        raise ConsistencyError(
-            f"non-vanishing criterion contradicts the dimension for "
-            f"m={m}, d={d}, pi={pi}"
-        )
-    rank_dim = None
+    # by module-global name at call time, so a rebound ``dim_via_*`` is the one called
+    fields = {f"dim_{name}": globals()[f"dim_via_{name}"](m, d, pi) for name in ROUTES}
+    _, fields["nonvanishing_witness"] = is_nonvanishing(m, d, pi)
     if verify_rank and rank_verification_applies(m, d):
         spec = sn_character_spec(m, pi)
-        rank_dim = dimension_by_rank(spec.group, spec, d)
-        if rank_dim != orbit:
-            raise ConsistencyError(
-                f"rank construction disagrees with the formulas for "
-                f"m={m}, d={d}, pi={pi}: {rank_dim} vs {orbit}"
-            )
-    return DimensionReport(
-        m=m,
-        d=d,
-        pi=pi,
-        dim_orbit_sum=orbit,
-        dim_inner_product=pairing,
-        dim_decomposition=decomposition,
-        nonvanishing_witness=witness,
-        rank_dimension=rank_dim,
-    )
+        fields["rank_dimension"] = dimension_by_rank(spec.group, spec, d)
+    report = DimensionReport(m, d, pi, **fields)
+    failed = [name for name, ok in report.checks() if not ok]
+    if failed:
+        raise ConsistencyError(f"checks failed: {'; '.join(failed)} ({report})")
+    return report

@@ -90,15 +90,30 @@ def multiplicity_factorial(mu: Sequence[int]) -> int:
     return out
 
 
-def _partitions_desc(remaining: int, max_part: int, max_len: int) -> Iterator[Partition]:
-    if remaining == 0:
-        yield ()
+def _partition_walk(n: int, max_len: int) -> Iterator[tuple[int, Partition]]:
+    """The partitions of ``n`` into at most ``max_len`` parts in reverse-lex
+    order, each with the index of its first part that changed since the
+    previous one (0 for the first).  Each step pops the trailing parts,
+    lowers the last part that can still be lowered, and refills greedily."""
+    if n == 0:
+        yield 0, ()
         return
-    if max_len == 0:
-        return
-    for first in range(min(remaining, max_part), 0, -1):
-        for rest in _partitions_desc(remaining - first, first, max_len - 1):
-            yield (first,) + rest
+    parts, changed = [n], 0
+    while True:
+        yield changed, tuple(parts)
+        rest = 0
+        while True:
+            if not parts:
+                return
+            top = parts.pop()
+            rest += top
+            changed = len(parts)
+            if top > 1 and (top - 1) * (max_len - changed) >= rest:
+                break
+        q, r = divmod(rest, top - 1)
+        parts += [top - 1] * q
+        if r:
+            parts.append(r)
 
 
 def enumerate_partitions(m: int, max_length: int | None = None) -> list[Partition]:
@@ -108,7 +123,7 @@ def enumerate_partitions(m: int, max_length: int | None = None) -> list[Partitio
         raise ValueError("cannot partition a negative integer")
     if max_length is not None and max_length < 1:
         raise ValueError("max_length must be positive")
-    return list(_partitions_desc(m, m, m if max_length is None else max_length))
+    return [p for _, p in _partition_walk(m, m if max_length is None else max_length)]
 
 
 def gamma_size(m: int, d: int) -> int:
@@ -164,7 +179,7 @@ def orbit_representatives(m: int, d: int) -> list[ExponentVector]:
 def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
     """The representatives of :func:`orbit_representatives`, one at a time."""
     _check_gamma_args(m, d)
-    for p in _partitions_desc(d, d, m):
+    for _, p in _partition_walk(d, m):
         yield p + (0,) * (m - len(p))
 
 

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -512,3 +514,73 @@ def test_help_ends_with_the_shared_options(capsys, command):
     options = [line.split()[0].rstrip(",") for line in out.splitlines() if line.startswith("  -")]
     assert options[0] == "-h"
     assert options[-3:] == ["--json", "--max-elements", "--max-gamma"]
+
+
+_DIM_WITHOUT_RANK = [
+    (
+        ("dim", "--m", "6", "--d", "3", "--partition", "4,2", "--verify"),
+        {"m": 6, "d": 3, "partition": [4, 2], "verify": True},
+        {
+            "m": 6,
+            "d": 3,
+            "partition": [4, 2],
+            "dim_orbit_sum": 18,
+            "dim_inner_product": 18,
+            "dim_decomposition": 18,
+            "rank_dimension": None,
+            "nonvanishing_witness": [2, 1, 0, 0, 0, 0],
+        },
+        [
+            ["orbit_sum equals inner_product", True],
+            ["orbit_sum equals decomposition", True],
+            ["non-vanishing matches positivity", True],
+        ],
+        "m=6 d=3 partition=(4,2)\n"
+        "dimension: 18\n"
+        "  orbit sum:      18\n"
+        "  inner product:  18\n"
+        "  decomposition:  18\n"
+        "witness: (2,1,0,0,0,0)\n",
+    ),
+    (
+        ("dim", "--m", "3", "--d", "2", "--partition", "1,1,1"),
+        {"m": 3, "d": 2, "partition": [1, 1, 1], "verify": False},
+        {
+            "m": 3,
+            "d": 2,
+            "partition": [1, 1, 1],
+            "dim_orbit_sum": 0,
+            "dim_inner_product": 0,
+            "dim_decomposition": 0,
+            "rank_dimension": None,
+            "nonvanishing_witness": None,
+        },
+        [],
+        "m=3 d=2 partition=(1,1,1)\n"
+        "dimension: 0\n"
+        "  orbit sum:      0\n"
+        "  inner product:  0\n"
+        "  decomposition:  0\n"
+        "witness: none\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, inputs, result, cross_checks, text", _DIM_WITHOUT_RANK)
+def test_dim_without_rank_output_is_pinned(capsys, argv, inputs, result, cross_checks, text):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    _assert_envelope(out, "dim", inputs, result, cross_checks)
+    assert run(capsys, *argv) == (0, text, "")
+
+
+def test_long_series_takes_the_linear_dp(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "denumerant", "--coins", ",".join(["1"] * 10), "--amount", "5000", "--series"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    values = out.split()
+    assert len(values) == 5001
+    assert values[-1] == str(math.comb(5009, 9))

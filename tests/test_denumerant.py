@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_force_denumerant
 from relsym.characters import character_table, trivial_character
 from relsym.denumerant import (
+    _denumerant_counts,
     class_function_from_decomposition,
     denumerant,
     denumerant_by_induced_characters,
@@ -154,3 +155,9 @@ def test_decomposition_shape(m, d):
     identity = (1,) * m
     total = sum(v * table[pi][identity] for pi, v in multiplicities.items())
     assert total == gamma_size(m, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coin_systems, st.integers(min_value=0, max_value=200))
+def test_counts_for_every_amount_equal_the_series(coins, d_max):
+    assert _denumerant_counts(coins, d_max) == denumerant_series(coins, d_max)

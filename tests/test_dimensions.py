@@ -1,9 +1,13 @@
+import dataclasses
 import tracemalloc
 
 import pytest
 
 from oracles import brute_force_witness
+import relsym.dimensions as dimensions
 from relsym.dimensions import (
+    ROUTES,
+    DimensionReport,
     dim_via_decomposition,
     dim_via_inner_product,
     dim_via_orbit_sum,
@@ -11,6 +15,7 @@ from relsym.dimensions import (
     is_nonvanishing,
     rank_verification_applies,
 )
+from relsym.errors import ConsistencyError
 from relsym.partitions import enumerate_partitions, gamma_size
 
 
@@ -127,3 +132,61 @@ def test_report_without_rank():
     report = dimension_report(6, 3, (4, 2))
     assert report.rank_dimension is None
     assert report.dimension == report.dim_orbit_sum
+
+
+_CHECKS = [
+    "orbit_sum equals inner_product",
+    "orbit_sum equals decomposition",
+    "non-vanishing matches positivity",
+    "rank equals formulas",
+]
+
+
+def _assert_report_fails(failed):
+    with pytest.raises(ConsistencyError) as info:
+        dimension_report(3, 2, (2, 1), verify_rank=True)
+    for name in _CHECKS:
+        assert (name in str(info.value)) == (name in failed), name
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_report_names_a_wrong_route(monkeypatch, route):
+    right = getattr(dimensions, f"dim_via_{route}")
+    monkeypatch.setattr(dimensions, f"dim_via_{route}", lambda m, d, pi: right(m, d, pi) + 1)
+    if route == ROUTES[0]:
+        # the first route is the report's dimension, which the rank checks too
+        others = [f"{route} equals {other}" for other in ROUTES[1:]]
+        _assert_report_fails(others + ["rank equals formulas"])
+    else:
+        _assert_report_fails([f"{ROUTES[0]} equals {route}"])
+
+
+def test_report_names_a_missing_witness(monkeypatch):
+    monkeypatch.setattr(dimensions, "is_nonvanishing", lambda m, d, pi: (False, None))
+    _assert_report_fails(["non-vanishing matches positivity"])
+
+
+def test_report_names_a_wrong_rank(monkeypatch):
+    monkeypatch.setattr(dimensions, "dimension_by_rank", lambda group, spec, d: 99)
+    _assert_report_fails(["rank equals formulas"])
+
+
+def test_routes_are_looked_up_when_the_report_runs(monkeypatch):
+    calls = []
+    right = dimensions.dim_via_inner_product
+
+    def counting(m, d, pi):
+        calls.append((m, d, pi))
+        return right(m, d, pi)
+
+    monkeypatch.setattr(dimensions, "dim_via_inner_product", counting)
+    dimension_report(3, 2, (2, 1))
+    dimension_report(4, 3, (2, 2), verify_rank=True)
+    assert calls == [(3, 2, (2, 1)), (4, 3, (2, 2))]
+
+
+def test_every_route_has_a_report_field():
+    fields = {field.name for field in dataclasses.fields(DimensionReport)}
+    for name in ROUTES:
+        assert f"dim_{name}" in fields
+        assert callable(getattr(dimensions, f"dim_via_{name}"))

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_orbit_types
+from oracles import _partitions_desc, brute_force_orbit_types
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import (
+    _partition_walk,
     check_partition,
     class_size,
     dominates,
@@ -189,3 +190,14 @@ def test_class_size_matches_direct_count():
         counted = class_sizes_by_counting(m)
         for lam in enumerate_partitions(m):
             assert class_size(lam) == counted[lam]
+
+
+@pytest.mark.parametrize("m", range(0, 21))
+def test_partition_walk_matches_the_oracle(m):
+    every = _partitions_desc(m)
+    for max_len in range(1, m + 2):
+        walk = list(_partition_walk(m, max_len))
+        assert [p for _, p in walk] == [p for p in every if len(p) <= max_len]
+        assert walk[0][0] == 0
+        for (_, before), (changed, p) in zip(walk, walk[1:]):
+            assert p[:changed] == before[:changed] and p[changed] != before[changed]
