@@ -4,9 +4,10 @@ Irreducible character values are computed by the Murnaghan-Nakayama rule in
 its first-column hook (beta number) form.  A partition ``lam`` of length l is
 encoded by the strictly decreasing set ``{lam[i] + (l - 1 - i)}``; removing a
 border strip of length r means lowering one beta number by r into a vacant
-slot, and the strip height is the number of beta numbers jumped over.  This
-keeps everything in integer arithmetic and memoizes naturally on the pair
-(shape, unused cycles).
+slot, and the strip height is the number of beta numbers jumped over.
+chi^pi(lam) is the signed count of paths from ``pi`` to the empty shape
+that remove one ribbon per cycle of ``lam``, taken by the layer walk
+``tableaux._layer_walk``; the ribbon removals are cached per (shape, r).
 
 Class functions are stored by cycle type with exact rational values, so
 characters, denumerant traces, and their inner products share one type.
@@ -31,33 +32,33 @@ from .partitions import (
     enumerate_partitions,
     multiplicity_factorial,
 )
-from .tableaux import _kostka_column
+from .tableaux import _kostka_column, _layer_walk
 
 
 @lru_cache(maxsize=None)
-def _mn_value(shape: Partition, cycles: Partition) -> int:
-    if not cycles:
-        return 1
-    r = cycles[0]
-    rest = cycles[1:]
+def _ribbons_removed(shape: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """Every shape left by removing a border strip of length ``r`` from
+    ``shape``, with the sign (-1)**height of that strip."""
     length = len(shape)
     beta = [shape[i] + (length - 1 - i) for i in range(length)]
     occupied = set(beta)
-    total = 0
+    out = []
     for b in beta:
         nb = b - r
         if nb < 0 or nb in occupied:
             continue
         height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         new_shape = tuple(
             x - (length - 1 - i) for i, x in enumerate(new_beta) if x - (length - 1 - i) > 0
         )
-        term = _mn_value(new_shape, rest)
-        total += -term if height % 2 else term
-    return total
+        out.append((new_shape, -1 if height % 2 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _mn_value(shape: Partition, cycles: Partition) -> int:
+    return _layer_walk(shape, cycles, _ribbons_removed).get((), 0)
 
 
 def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:

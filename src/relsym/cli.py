@@ -300,13 +300,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print(
-            "resource limit: the input needs deeper recursion than Python's"
-            " recursion limit, a cap that no flag raises",
-            file=sys.stderr,
-        )
-        return 2
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

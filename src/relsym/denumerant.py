@@ -26,6 +26,7 @@ from .characters import (
 from .groups import apply_to_exponents, permutation_of_cycle_type
 from .partitions import (
     Partition,
+    _check_ints,
     _partition_walk,
     check_partition,
     enumerate_gamma,
@@ -40,7 +41,7 @@ CoinSystem = tuple[int, ...]
 
 
 def check_coins(coins: Sequence[int]) -> CoinSystem:
-    out = tuple(int(a) for a in coins)
+    out = _check_ints(coins, "coin")
     if not out:
         raise ValueError("need at least one coin")
     if any(a < 1 for a in out):

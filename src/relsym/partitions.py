@@ -10,8 +10,9 @@ m-tuples summing to d, is the exponent of a degree-d monomial in m variables.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from itertools import zip_longest
+from itertools import combinations_with_replacement, zip_longest
 from typing import Iterator, Sequence
 
 from .config import limits
@@ -21,9 +22,19 @@ Partition = tuple[int, ...]
 ExponentVector = tuple[int, ...]
 
 
+def _check_ints(values: Sequence[int], field: str) -> tuple[int, ...]:
+    """The entries of ``values`` as ints; a float or other non-integer entry
+    raises instead of being truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{field} entries must be integers, got {values}") from None
+
+
 def check_partition(parts: Sequence[int]) -> Partition:
     """Validate and normalize a partition given as any integer sequence."""
-    p = tuple(int(x) for x in parts)
+    p = _check_ints(parts, "partition")
     for i, x in enumerate(p):
         if x < 1:
             raise ValueError(f"partition parts must be positive, got {p}")
@@ -34,7 +45,7 @@ def check_partition(parts: Sequence[int]) -> Partition:
 
 def check_exponent_vector(entries: Sequence[int], m: int | None = None) -> ExponentVector:
     """Validate an exponent vector; ``m``, when given, pins the length."""
-    alpha = tuple(int(x) for x in entries)
+    alpha = _check_ints(entries, "exponent")
     if m is not None and len(alpha) != m:
         raise ValueError(f"expected {m} entries, got {len(alpha)}")
     if not alpha:
@@ -132,12 +143,11 @@ def gamma_size(m: int, d: int) -> int:
 
 
 def _vectors_lex(m: int, d: int) -> Iterator[ExponentVector]:
-    if m == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _vectors_lex(m - 1, d - first):
-            yield (first,) + rest
+    # stars and bars: the sums of the first 1, ..., m - 1 entries are a
+    # weakly increasing sequence in 0..d, and those sequences in lexicographic
+    # order give their difference vectors in lexicographic order
+    for sums in combinations_with_replacement(range(d + 1), m - 1):
+        yield tuple(map(operator.sub, sums + (d,), (0,) + sums))
 
 
 def _check_gamma_args(m: int, d: int) -> None:

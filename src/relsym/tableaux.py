@@ -7,18 +7,20 @@ content ``pi`` (entry i appears pi[i-1] times); it is nonzero exactly when
 
 Fillings are built value by value as horizontal strips: all cells holding
 value i are added left-justified to the rows in one step, which keeps columns
-strict by construction (Pieri's rule).  A single pair, through ``kostka`` or
-``count_fillings``, fills its one given shape; batch callers read a whole
-column K(-, pi) from ``_kostka_column``, which grows all shapes at once.
+strict by construction (Pieri's rule), one layer of shapes per value in the
+iterative ``_layer_walk`` that ``characters`` runs with signed border strips.
+A single pair, through ``kostka`` or ``count_fillings``, fills its one given
+shape; batch callers read a whole column K(-, pi) from ``_kostka_column``,
+which grows all shapes at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Sequence
 
-from .partitions import Partition, check_partition
+from .partitions import Partition, _check_ints, check_partition
 
 
 @dataclass(frozen=True)
@@ -61,31 +63,42 @@ class Tableau:
         return True
 
 
+def _layer_walk(start, sizes, moves) -> dict:
+    """Count weighted paths from ``start`` that take one step per entry of
+    ``sizes``: every state of a layer goes to each ``(next_state, weight)``
+    that ``moves(state, size)`` yields, and the counts times the weights are
+    summed per next state.  Returns the last layer."""
+    layer = {start: 1}
+    for size in sizes:
+        grown: dict = {}
+        for state, count in layer.items():
+            for new, weight in moves(state, size):
+                grown[new] = grown.get(new, 0) + weight * count
+        layer = grown
+    return layer
+
+
 def _strip_additions(
-    current: tuple[int, ...], shape: Partition, count: int
-) -> Iterator[tuple[int, ...]]:
+    shape: Partition, current: tuple[int, ...], count: int
+) -> list[tuple[tuple[int, ...], int]]:
     """All ways to grow ``current`` inside ``shape`` by a horizontal strip of
-    ``count`` cells.
+    ``count`` cells, each with weight 1.
 
     Row i may grow at most to shape[i], and (for i > 0) not past the previous
     length of row i-1, so no two new cells share a column and every new cell
     sits on a strictly smaller entry.
     """
-    n_rows = len(shape)
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == n_rows:
-            if remaining == 0:
-                yield prefix
-            return
-        low = current[i]
+    prefixes = [((), count)]
+    for i, low in enumerate(current):
         # new row lengths stay weakly decreasing automatically: the bound by
         # the old length of the row above is the stricter one
         high = min(shape[i], current[i - 1] if i > 0 else shape[i])
-        for new_len in range(low, min(high, low + remaining) + 1):
-            yield from rec(i + 1, remaining - (new_len - low), prefix + (new_len,))
-
-    yield from rec(0, count, ())
+        prefixes = [
+            (prefix + (new_len,), remaining - (new_len - low))
+            for prefix, remaining in prefixes
+            for new_len in range(low, min(high, low + remaining) + 1)
+        ]
+    return [(prefix, 1) for prefix, remaining in prefixes if remaining == 0]
 
 
 def _check_filling(
@@ -93,7 +106,7 @@ def _check_filling(
 ) -> tuple[Partition, tuple[int, ...]]:
     """A shape and a content composition (zeros allowed) of equal weight."""
     mu = check_partition(mu)
-    content = tuple(int(c) for c in content)
+    content = _check_ints(content, "content")
     if any(c < 0 for c in content):
         raise ValueError(f"content entries must be non-negative, got {content}")
     if sum(content) != sum(mu):
@@ -107,30 +120,15 @@ def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape ``mu`` with the given content
     composition (zeros allowed, any order)."""
     mu, content = _check_filling(mu, content)
-
-    @lru_cache(maxsize=None)
-    def rec(state: tuple[int, ...], idx: int) -> int:
-        if idx == len(content):
-            return 1 if state == mu else 0
-        total = 0
-        for grown in _strip_additions(state, mu, content[idx]):
-            total += rec(grown, idx + 1)
-        return total
-
-    return rec((0,) * len(mu), 0)
+    return _layer_walk((0,) * len(mu), content, partial(_strip_additions, mu)).get(mu, 0)
 
 
 @lru_cache(maxsize=None)
 def _kostka_column(pi: Partition) -> dict[Partition, int]:
     """The non-zero K(mu, pi) for all mu: strips of sizes pi[0], pi[1], ...
     added to the empty shape, which has room for len(pi) rows."""
-    column = {(0,) * len(pi): 1}
-    for size in pi:
-        grown: dict[tuple[int, ...], int] = {}
-        for state, count in column.items():
-            for new in _strip_additions(state, (sum(pi),) * len(pi), size):
-                grown[new] = grown.get(new, 0) + count
-        column = grown
+    bound = (sum(pi),) * len(pi)
+    column = _layer_walk((0,) * len(pi), pi, partial(_strip_additions, bound))
     return {tuple(r for r in state if r): count for state, count in column.items()}
 
 
@@ -153,20 +151,12 @@ def enumerate_ssyt(mu: Sequence[int], content: Sequence[int]) -> list[Tableau]:
     ``content[i-1]`` times, sorted by reading word."""
     mu, content = _check_filling(mu, content)
     n_rows = len(mu)
-    results: list[Tableau] = []
-
-    def rec(state: tuple[int, ...], idx: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        if idx == len(content):
-            if state == mu:
-                results.append(Tableau(tuple(row for row in rows if row)))
-            return
-        value = idx + 1
-        for grown in _strip_additions(state, mu, content[idx]):
-            new_rows = tuple(
-                rows[i] + (value,) * (grown[i] - state[i]) for i in range(n_rows)
-            )
-            rec(grown, idx + 1, new_rows)
-
-    rec((0,) * n_rows, 0, ((),) * n_rows)
-    results.sort(key=Tableau.reading_word)
-    return results
+    # count_fillings' walk with each path's rows; every path ends at mu
+    layer = [((0,) * n_rows, ((),) * n_rows)]
+    for value, size in enumerate(content, 1):
+        layer = [
+            (grown, tuple(row + (value,) * (g - s) for row, g, s in zip(rows, grown, state)))
+            for state, rows in layer
+            for grown, _ in _strip_additions(mu, state, size)
+        ]
+    return sorted((Tableau(rows) for _, rows in layer), key=Tableau.reading_word)

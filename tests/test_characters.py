@@ -7,6 +7,7 @@ import pytest
 from oracles import coset_induced_trivial_values, hook_length_dimension, oracle_character_table
 from relsym.characters import (
     ClassFunction,
+    _mn_value,
     character_table,
     class_function_from_ints,
     induced_trivial_character,
@@ -171,3 +172,9 @@ def test_character_table_concurrent_construction():
     for t in threads:
         t.join()
     assert all(r is results[0] for r in results)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_character_degrees_are_hook_lengths(m):
+    for pi in enumerate_partitions(m):
+        assert _mn_value(pi, (1,) * m) == hook_length_dimension(pi)

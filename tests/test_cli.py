@@ -229,18 +229,23 @@ def test_non_positive_caps_rejected(capsys, monkeypatch, argv, env):
     assert "must be a positive integer" in err
 
 
+def _ones(n):
+    return ",".join(["1"] * n)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, value",
     [
-        ("character", "--partition", "500", "--class", ",".join(["1"] * 500)),
-        ("kostka", "--shape", "1000", "--content", ",".join(["1"] * 1000)),
+        (("character", "--partition", "500", "--class", _ones(500)), 1),
+        (("kostka", "--shape", "1000", "--content", _ones(1000)), 1),
+        # (n, n) has a Catalan number C_n of standard tableaux, so of degree
+        (("kostka", "--shape", "500,500", "--content", _ones(1000)), math.comb(1000, 500) // 501),
+        (("character", "--partition", "250,250", "--class", _ones(500)), math.comb(500, 250) // 251),
     ],
+    ids=["character-500", "kostka-1000", "kostka-500-500", "character-250-250"],
 )
-def test_deep_recursion_is_a_resource_limit(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert "resource limit" in err
-    assert "Traceback" not in err
+def test_deep_inputs_answer(capsys, argv, value):
+    assert run(capsys, *argv) == (0, f"{value}\n", "")
 
 
 def test_cli_caps_stay_in_their_thread(capsys, monkeypatch):

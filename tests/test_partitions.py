@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import _partitions_desc, brute_force_orbit_types
 from relsym.config import use_limits
+from relsym.denumerant import denumerant
 from relsym.errors import ResourceLimitError
 from relsym.partitions import (
     _partition_walk,
@@ -20,6 +22,7 @@ from relsym.partitions import (
     orbit_representatives,
     orbit_type_counts,
 )
+from relsym.tableaux import count_fillings, kostka
 
 
 def test_check_partition_rejects_bad_input():
@@ -201,3 +204,30 @@ def test_partition_walk_matches_the_oracle(m):
         assert walk[0][0] == 0
         for (_, before), (changed, p) in zip(walk, walk[1:]):
             assert p[:changed] == before[:changed] and p[changed] != before[changed]
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (multiplicity_partition, ([1.5, 1.9],)),
+        (denumerant, ([2.5], 4)),
+        (kostka, ((2.9, 1), (1.2, 1, 1))),
+        (check_partition, ((2.7, 1),)),
+        (count_fillings, ((2, 1), (1.5, 1.5))),
+    ],
+    ids=["multiplicity_partition", "denumerant", "kostka", "check_partition", "count_fillings"],
+)
+def test_validators_reject_non_integers(call, args):
+    with pytest.raises(ValueError, match="must be integers"):
+        call(*args)
+
+
+def test_enumerate_gamma_takes_many_variables():
+    assert enumerate_gamma(1100, 0) == [(0,) * 1100]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("d", range(0, 7))
+def test_enumerate_gamma_is_the_filtered_product(m, d):
+    expected = [v for v in itertools.product(range(d + 1), repeat=m) if sum(v) == d]
+    assert enumerate_gamma(m, d) == expected

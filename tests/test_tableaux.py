@@ -118,3 +118,7 @@ def test_tableau_entry_access():
     assert t.entry(1, 1) == 1
     assert t.entry(1, 2) == 1
     assert t.entry(2, 1) == 2
+
+
+def test_enumerate_ssyt_takes_many_values():
+    assert len(enumerate_ssyt((1000,), (1,) * 1000)) == 1
