@@ -8,15 +8,18 @@ slot, and the strip height is the number of beta numbers jumped over.
 chi^pi(lam) is the signed count of paths from ``pi`` to the empty shape
 that remove one ribbon per cycle of ``lam``, taken by the layer walk
 ``tableaux._layer_walk``; the ribbon removals are cached per (shape, r).
+Character values are cached once, in ``_mn_value``; a row, a table and a
+class function built from multiplicities are views of that cache, and all
+of them check ``Limits.max_character_table_m`` before any work.
 
-Class functions are stored by cycle type with exact rational values, so
-characters, denumerant traces, and their inner products share one type.
+Class functions are stored by cycle type with exact integer or rational
+values, so characters, denumerant traces, and their inner products share
+one type.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,17 +75,8 @@ def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:
     return _mn_value(pi, lam)
 
 
-_TABLE_CACHE: dict[int, dict[Partition, dict[Partition, int]]] = {}
-_TABLE_LOCK = threading.Lock()
-
-
-def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
-    """Full table of irreducible character values for the symmetric group of
-    degree ``m``, keyed ``table[pi][lam]``.
-
-    Cached per ``m``; construction happens at most once per process even
-    under concurrent callers.
-    """
+def _classes(m: int) -> list[Partition]:
+    """The classes of degree ``m``, once ``m`` is within the character cap."""
     if m < 1:
         raise ValueError("degree must be at least 1")
     bound = limits().max_character_table_m
@@ -91,31 +85,37 @@ def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
             f"character table for degree {m} exceeds the bound {bound}"
             " (Limits.max_character_table_m; no command-line flag raises it)"
         )
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(m)
-        if table is None:
-            parts = enumerate_partitions(m)
-            table = {
-                pi: {lam: _mn_value(pi, lam) for lam in parts} for pi in parts
-            }
-            _TABLE_CACHE[m] = table
-    return table
+    return enumerate_partitions(m)
+
+
+def _row(pi: Partition, classes: Sequence[Partition] | None = None) -> dict[Partition, int]:
+    """chi^pi on ``classes``, by default every class of |pi| after the cap."""
+    if classes is None:
+        classes = _classes(sum(pi))
+    return {lam: _mn_value(pi, lam) for lam in classes}
+
+
+def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
+    """Every irreducible character of the symmetric group of degree ``m``,
+    keyed ``table[pi][lam]``; each row is a view of ``_mn_value``."""
+    classes = _classes(m)
+    return {pi: _row(pi, classes) for pi in classes}
 
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A function on a symmetric group constant on conjugacy classes, stored
-    as exact rationals indexed by cycle type."""
+    """A function on a symmetric group constant on conjugacy classes, indexed
+    by cycle type.  Values are kept as given, so integral ones stay ints."""
 
     m: int
-    values: Mapping[Partition, Fraction]
+    values: Mapping[Partition, int | Fraction]
 
     def __post_init__(self) -> None:
         expected = set(enumerate_partitions(self.m))
         if set(self.values) != expected:
             raise ValueError(f"need a value for every cycle type of degree {self.m}")
 
-    def __call__(self, lam: Sequence[int]) -> Fraction:
+    def __call__(self, lam: Sequence[int]) -> int | Fraction:
         return self.values[check_partition(lam)]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
@@ -133,14 +133,26 @@ class ClassFunction:
         return all(v.denominator == 1 for v in self.values.values())
 
 
-def class_function_from_ints(m: int, values: Mapping[Partition, int]) -> ClassFunction:
-    return ClassFunction(m, {lam: Fraction(v) for lam, v in values.items()})
+def class_function_from_decomposition(
+    m: int, multiplicities: Mapping[Partition, int]
+) -> ClassFunction:
+    """Expand irreducible multiplicities back into a class function: the sum
+    of mult * chi^pi, one row at a time."""
+    classes = _classes(m)
+    values = dict.fromkeys(classes, 0)
+    for pi, mult in multiplicities.items():
+        pi = check_partition(pi)
+        if sum(pi) != m:
+            raise ValueError(f"multiplicity given for {pi}, a partition of {sum(pi)}, not {m}")
+        if mult:
+            for lam, v in _row(pi, classes).items():
+                values[lam] += mult * v
+    return ClassFunction(m, values)
 
 
 def irreducible_class_function(pi: Sequence[int]) -> ClassFunction:
     pi = check_partition(pi)
-    row = character_table(sum(pi))[pi]
-    return class_function_from_ints(sum(pi), row)
+    return class_function_from_decomposition(sum(pi), {pi: 1})
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
@@ -151,11 +163,9 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """
     if phi.m != psi.m:
         raise ValueError("cannot pair class functions of different degrees")
-    m = phi.m
-    total = Fraction(0)
-    for lam in enumerate_partitions(m):
-        total += class_size(lam) * phi.values[lam] * psi.values[lam]
-    return total / math.factorial(m)
+    classes = enumerate_partitions(phi.m)
+    total = sum(class_size(lam) * phi.values[lam] * psi.values[lam] for lam in classes)
+    return Fraction(total, math.factorial(phi.m))
 
 
 def young_subgroup_classes(mu: Partition) -> Iterator[tuple[Partition, int]]:
@@ -203,34 +213,16 @@ def restricted_trivial_inner_product(pi: Sequence[int], mu: Sequence[int]) -> in
     return _restricted_trivial_cached(pi, mu)
 
 
-@lru_cache(maxsize=None)
-def _induced_trivial_values(mu: Partition) -> tuple[int, ...]:
-    """Values of the induced trivial character, aligned with the partition
-    enumeration order of the degree."""
-    m = sum(mu)
-    table = character_table(m)
-    classes = enumerate_partitions(m)
-    values = [0] * len(classes)
-    for pi, coeff in _kostka_column(mu).items():
-        row = table[pi]
-        for i, lam in enumerate(classes):
-            values[i] += coeff * row[lam]
-    return tuple(values)
-
-
 def induced_trivial_character(mu: Sequence[int]) -> ClassFunction:
     """The permutation character of the symmetric group acting on cosets of
     the Young subgroup of shape ``mu``: the Kostka-weighted sum of the
     irreducible characters dominating ``mu``."""
     mu = check_partition(mu)
-    m = sum(mu)
-    if m < 1:
+    if not mu:
         raise ValueError("the empty shape induces nothing")
-    values = _induced_trivial_values(mu)
-    return class_function_from_ints(
-        m, dict(zip(enumerate_partitions(m), values))
-    )
+    _classes(sum(mu))  # the cap, before the Kostka column's work
+    return class_function_from_decomposition(sum(mu), _kostka_column(mu))
 
 
 def trivial_character(m: int) -> ClassFunction:
-    return class_function_from_ints(m, {lam: 1 for lam in enumerate_partitions(m)})
+    return ClassFunction(m, dict.fromkeys(enumerate_partitions(m), 1))

@@ -24,7 +24,7 @@ class Limits:
     max_gamma: int = 10_000_000
     # Largest permutation group order PermutationGroup will close over.
     max_group_order: int = 1_000_000
-    # Largest symmetric group degree for which a full character table is built.
+    # Largest symmetric group degree for which a character row or table is built.
     max_character_table_m: int = 12
 
     def __post_init__(self) -> None:

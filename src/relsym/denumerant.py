@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .characters import (
     ClassFunction,
-    character_table,
-    class_function_from_ints,
+    class_function_from_decomposition,  # re-exported: it expands denumerant_decomposition
     induced_trivial_character,
 )
 from .groups import apply_to_exponents, permutation_of_cycle_type
@@ -28,7 +27,6 @@ from .partitions import (
     Partition,
     _check_ints,
     _partition_walk,
-    check_partition,
     enumerate_gamma,
     enumerate_partitions,
     multiplicity_factorial,
@@ -120,7 +118,7 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
             _add_coin(counts, a)
             stack.append(counts)
         values[lam] = stack[-1][d]
-    return class_function_from_ints(m, values)
+    return ClassFunction(m, values)
 
 
 def verify_trace_identity(m: int, d: int) -> bool:
@@ -149,22 +147,19 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
     only as a small-size cross-check.
     """
     _check_degree_amount(m, d)
+    if literal:
+        stabilizers = map(multiplicity_partition, enumerate_gamma(m, d))
+        weighted = ((stab, multiplicity_factorial(stab)) for stab in stabilizers)
+    else:
+        weighted = orbit_type_counts(m, d).items()
     classes = enumerate_partitions(m)
-    totals = [Fraction(0)] * len(classes)
-    if not literal:
-        for shape, count in orbit_type_counts(m, d).items():
-            induced = induced_trivial_character(shape)
-            for i, lam in enumerate(classes):
-                totals[i] += count * induced.values[lam]
-        return ClassFunction(m, dict(zip(classes, totals)))
-    for alpha in enumerate_gamma(m, d):
-        stab = multiplicity_partition(alpha)
-        order = multiplicity_factorial(stab)
-        induced = induced_trivial_character(stab)
+    totals = [0] * len(classes)
+    for shape, weight in weighted:
+        induced = induced_trivial_character(shape)
         for i, lam in enumerate(classes):
-            totals[i] += order * induced.values[lam]
-    scale = Fraction(1, math.factorial(m))
-    return ClassFunction(m, {lam: scale * v for lam, v in zip(classes, totals)})
+            totals[i] += weight * induced.values[lam]
+    out = ClassFunction(m, dict(zip(classes, totals)))
+    return out.scale(Fraction(1, math.factorial(m))) if literal else out
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
@@ -178,17 +173,3 @@ def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
             out[pi] += count * k
     return out
 
-
-def class_function_from_decomposition(
-    m: int, multiplicities: Mapping[Partition, int]
-) -> ClassFunction:
-    """Expand irreducible multiplicities back into a class function."""
-    table = character_table(m)
-    values = {lam: 0 for lam in enumerate_partitions(m)}
-    for pi, mult in multiplicities.items():
-        if mult == 0:
-            continue
-        row = table[check_partition(pi)]
-        for lam in values:
-            values[lam] += mult * row[lam]
-    return class_function_from_ints(m, values)

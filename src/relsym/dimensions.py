@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .characters import (
-    character_table,
+    _row,
     inner_product,
     irreducible_class_function,
     restricted_trivial_inner_product,
@@ -41,7 +41,9 @@ ROUTES = ("orbit_sum", "inner_product", "decomposition")
 
 
 def _degree(pi: Partition) -> int:
-    return character_table(sum(pi))[pi][(1,) * sum(pi)]
+    """The degree of chi^pi, from its capped row: read before the orbit
+    types, so the cap binds before any route work."""
+    return _row(pi)[(1,) * sum(pi)]
 
 
 def _check_args(m: int, d: int, pi: Sequence[int]) -> Partition:
@@ -58,10 +60,11 @@ def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
     orbit counts, of the trivial-restriction multiplicity on the stabilizer.
     Types whose stabilizer admits no trivial constituent contribute 0."""
     pi = _check_args(m, d, pi)
+    degree = _degree(pi)
     total = 0
     for shape, count in orbit_type_counts(m, d).items():
         total += count * restricted_trivial_inner_product(pi, shape)
-    return _degree(pi) * total
+    return degree * total
 
 
 def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .characters import character_table
+from .characters import _row
 from .denumerant import denumerant
 from .errors import ConsistencyError
 from .groups import (
@@ -122,8 +122,7 @@ def sn_character_spec(m: int, pi: Sequence[int]) -> CharacterSpec:
     if sum(pi) != m:
         raise ValueError(f"{pi} is not a partition of {m}")
     group = PermutationGroup.symmetric(m)
-    row = character_table(m)[pi]
-    return CharacterSpec.from_cycle_type_values(group, row)
+    return CharacterSpec.from_cycle_type_values(group, _row(pi))
 
 
 @dataclass(frozen=True)

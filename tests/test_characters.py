@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from relsym.characters import (
     ClassFunction,
     _mn_value,
     character_table,
-    class_function_from_ints,
     induced_trivial_character,
     inner_product,
     irreducible_character_value,
@@ -158,20 +158,33 @@ def test_class_function_validation_and_arithmetic():
 
 
 def test_character_table_concurrent_construction():
-    import relsym.characters as characters
-
-    characters._TABLE_CACHE.pop(7, None)
+    # the coset oracle takes about 50 s at m = 7, so the threads build m = 6;
+    # from an empty value cache, so that they fill it concurrently
+    expected = oracle_character_table(6)
+    _mn_value.cache_clear()
     results = []
 
     def worker():
-        results.append(character_table(7))
+        results.append(character_table(6))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r == expected for r in results)
+
+
+def test_irreducible_class_function_rejects_the_empty_partition():
+    with pytest.raises(ValueError):
+        irreducible_class_function(())
 
 
 @pytest.mark.parametrize("m", range(1, 15))

@@ -589,3 +589,15 @@ def test_long_series_takes_the_linear_dp(capsys):
     values = out.split()
     assert len(values) == 5001
     assert values[-1] == str(math.comb(5009, 9))
+
+
+@pytest.mark.parametrize("m, d, partition", [(13, 80, "7,6"), (40, 400, "40")])
+def test_dim_checks_the_character_cap_before_any_route(capsys, m, d, partition):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dim", "--m", str(m), "--d", str(d), "--partition", partition)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"resource limit: character table for degree {m} exceeds the bound 12"
+        " (Limits.max_character_table_m; no command-line flag raises it)\n"
+    )

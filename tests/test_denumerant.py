@@ -130,6 +130,11 @@ def test_three_routes_agree(m, d):
     assert by_counting == by_induction == by_decomposition
 
 
+def test_decomposition_rejects_a_partition_of_another_weight():
+    with pytest.raises(ValueError, match="partition of 2, not 3"):
+        class_function_from_decomposition(3, {(2,): 1})
+
+
 @pytest.mark.parametrize("m,d", [(12, 28), (10, 30)])
 def test_three_routes_agree_at_larger_sizes(m, d):
     by_counting = denumerant_class_function(m, d)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,7 @@ from relsym.dimensions import (
     is_nonvanishing,
     rank_verification_applies,
 )
-from relsym.errors import ConsistencyError
+from relsym.errors import ConsistencyError, ResourceLimitError
 from relsym.partitions import enumerate_partitions, gamma_size
 
 
@@ -23,6 +24,13 @@ def test_orbit_sum_examples():
     assert dim_via_orbit_sum(3, 2, (2, 1)) == 4
     assert dim_via_orbit_sum(3, 2, (3,)) == 2
     assert dim_via_orbit_sum(3, 2, (1, 1, 1)) == 0
+
+
+def test_orbit_sum_checks_the_character_cap_before_the_orbit_types():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        dim_via_orbit_sum(13, 80, (7, 6))
+    assert time.perf_counter() - start < 1
 
 
 def test_inner_product_examples():
