@@ -26,10 +26,11 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .config import limits
-from .errors import ConsistencyError, ResourceLimitError
+from .config import check_cap
+from .errors import ConsistencyError
 from .partitions import (
     Partition,
+    _check_m_d,
     check_partition,
     class_size,
     enumerate_partitions,
@@ -68,23 +69,14 @@ def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:
     """Value of the irreducible character indexed by ``pi`` on permutations
     of cycle type ``lam``; both must partition the same integer."""
     pi = check_partition(pi)
-    lam = check_partition(lam)
-    if sum(pi) != sum(lam):
-        raise ValueError(f"character and class partitions differ in weight: {pi}, {lam}")
     # cycles processed in decreasing length order; lam is already sorted
-    return _mn_value(pi, lam)
+    return _mn_value(pi, check_partition(lam, sum(pi)))
 
 
 def _classes(m: int) -> list[Partition]:
     """The classes of degree ``m``, once ``m`` is within the character cap."""
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    bound = limits().max_character_table_m
-    if m > bound:
-        raise ResourceLimitError(
-            f"character table for degree {m} exceeds the bound {bound}"
-            " (Limits.max_character_table_m; no command-line flag raises it)"
-        )
+    _check_m_d(m)
+    check_cap("max_character_table_m", m, "the degree m of a character row or table is")
     return enumerate_partitions(m)
 
 
@@ -141,9 +133,7 @@ def class_function_from_decomposition(
     classes = _classes(m)
     values = dict.fromkeys(classes, 0)
     for pi, mult in multiplicities.items():
-        pi = check_partition(pi)
-        if sum(pi) != m:
-            raise ValueError(f"multiplicity given for {pi}, a partition of {sum(pi)}, not {m}")
+        pi = check_partition(pi, m)
         if mult:
             for lam, v in _row(pi, classes).items():
                 values[lam] += mult * v
@@ -163,8 +153,7 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """
     if phi.m != psi.m:
         raise ValueError("cannot pair class functions of different degrees")
-    classes = enumerate_partitions(phi.m)
-    total = sum(class_size(lam) * phi.values[lam] * psi.values[lam] for lam in classes)
+    total = sum(class_size(lam) * v * psi.values[lam] for lam, v in phi.values.items())
     return Fraction(total, math.factorial(phi.m))
 
 
@@ -207,10 +196,7 @@ def restricted_trivial_inner_product(pi: Sequence[int], mu: Sequence[int]) -> in
     K(pi, mu).
     """
     pi = check_partition(pi)
-    mu = check_partition(mu)
-    if sum(pi) != sum(mu):
-        raise ValueError(f"partitions differ in weight: {pi}, {mu}")
-    return _restricted_trivial_cached(pi, mu)
+    return _restricted_trivial_cached(pi, check_partition(mu, sum(pi)))
 
 
 def induced_trivial_character(mu: Sequence[int]) -> ClassFunction:
@@ -218,9 +204,7 @@ def induced_trivial_character(mu: Sequence[int]) -> ClassFunction:
     the Young subgroup of shape ``mu``: the Kostka-weighted sum of the
     irreducible characters dominating ``mu``."""
     mu = check_partition(mu)
-    if not mu:
-        raise ValueError("the empty shape induces nothing")
-    _classes(sum(mu))  # the cap, before the Kostka column's work
+    _classes(sum(mu))  # m >= 1 and the cap, before the Kostka column's work
     return class_function_from_decomposition(sum(mu), _kostka_column(mu))
 
 

@@ -1,8 +1,8 @@
 """Size caps for desk-scale use.
 
 All enumerations are exact and in-memory, so each one is guarded by a cap.
-The caps form one frozen ``Limits`` value held in a context variable: each
-check reads ``limits()`` when it runs, and ``with use_limits(max_gamma=...)``
+The caps form one frozen ``Limits`` value in a context variable; ``check_cap``
+reads ``limits()`` when it runs, and ``with use_limits(max_gamma=...)``
 changes caps for the current thread or task only.  The CLI sets them from
 ``--max-elements`` / ``--max-gamma`` and the ``RELSYM_MAX_ELEMENTS``
 environment variable.
@@ -12,20 +12,28 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
+
+from .errors import ResourceLimitError
+
+# Environment variable mirroring --max-elements.
+MAX_ELEMENTS_ENV = "RELSYM_MAX_ELEMENTS"
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Every size cap; each must be a positive integer."""
+    """Every size cap; each must be a positive integer.  A field's ``flag``
+    metadata says what raises it on the command line (None: nothing)."""
 
     # Largest number of exponent vectors enumerate_gamma will materialize.
-    max_gamma: int = 10_000_000
+    max_gamma: int = field(default=10_000_000, metadata={"flag": "--max-gamma"})
     # Largest permutation group order PermutationGroup will close over.
-    max_group_order: int = 1_000_000
+    max_group_order: int = field(
+        default=1_000_000, metadata={"flag": f"--max-elements or {MAX_ELEMENTS_ENV}"}
+    )
     # Largest symmetric group degree for which a character row or table is built.
-    max_character_table_m: int = 12
+    max_character_table_m: int = field(default=12, metadata={"flag": None})
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -42,6 +50,20 @@ def limits() -> Limits:
     return _LIMITS.get()
 
 
+def check_cap(cap: str, requested: int, what: str) -> None:
+    """Raise ``ResourceLimitError`` if ``requested`` exceeds the ``Limits``
+    field named ``cap`` in force; ``what`` is the message up to the number,
+    e.g. ``"the group order is at least"``."""
+    limit = getattr(limits(), cap)
+    if requested > limit:
+        flag = next(f for f in fields(Limits) if f.name == cap).metadata["flag"]
+        raise_it = f"raise it with {flag}" if flag else "no command-line flag raises it"
+        raise ResourceLimitError(
+            f"{what} {requested}, exceeding the cap of {limit} (Limits.{cap}; {raise_it})",
+            cap, requested, limit, flag,
+        )
+
+
 @contextmanager
 def use_limits(**caps: int) -> Iterator[None]:
     """Replace the named caps for the duration of the ``with`` block."""
@@ -50,7 +72,3 @@ def use_limits(**caps: int) -> Iterator[None]:
         yield
     finally:
         _LIMITS.reset(token)
-
-
-# Environment variable mirroring --max-elements.
-MAX_ELEMENTS_ENV = "RELSYM_MAX_ELEMENTS"

@@ -26,6 +26,7 @@ from .groups import apply_to_exponents, permutation_of_cycle_type
 from .partitions import (
     Partition,
     _check_ints,
+    _check_m_d,
     _partition_walk,
     enumerate_gamma,
     enumerate_partitions,
@@ -96,19 +97,12 @@ def denumerant_series(coins: Sequence[int], d_max: int) -> list[int]:
     return series
 
 
-def _check_degree_amount(m: int, d: int) -> None:
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if d < 0:
-        raise ValueError("amount must be non-negative")
-
-
 def denumerant_class_function(m: int, d: int) -> ClassFunction:
     """The trace function of degree-d monomial permutation: its value on a
     cycle type equals the denumerant with that type as coin system.  Cycle
     types sharing a prefix share its coin DP, kept on a stack along the walk.
     """
-    _check_degree_amount(m, d)
+    _check_m_d(m, d)
     values: dict[Partition, int] = {}
     stack = [[1] + [0] * d]  # stack[k]: the counts for the first k coins
     for changed, lam in _partition_walk(m, m):
@@ -127,10 +121,10 @@ def verify_trace_identity(m: int, d: int) -> bool:
     cycle type.  Enumerates all of Gamma(m, d), so it is capped."""
     gamma = enumerate_gamma(m, d)
     expected = denumerant_class_function(m, d)
-    for lam in enumerate_partitions(m):
+    for lam, count in expected.values.items():
         sigma = permutation_of_cycle_type(lam)
         fixed = sum(1 for alpha in gamma if apply_to_exponents(sigma, alpha) == alpha)
-        if fixed != expected.values[lam]:
+        if fixed != count:
             return False
     return True
 
@@ -146,7 +140,6 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
     repeats every orbit exactly enough to cancel the group order and exists
     only as a small-size cross-check.
     """
-    _check_degree_amount(m, d)
     if literal:
         stabilizers = map(multiplicity_partition, enumerate_gamma(m, d))
         weighted = ((stab, multiplicity_factorial(stab)) for stab in stabilizers)
@@ -166,7 +159,7 @@ def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
     """Multiplicity of each irreducible character in the denumerant class
     function: the Kostka columns K(-, type) of the orbit types, weighted by
     their orbit counts."""
-    _check_degree_amount(m, d)
+    _check_m_d(m, d)
     out = dict.fromkeys(enumerate_partitions(m), 0)
     for shape, count in orbit_type_counts(m, d).items():
         for pi, k in _kostka_column(shape).items():

@@ -28,6 +28,7 @@ from .errors import ConsistencyError
 from .partitions import (
     ExponentVector,
     Partition,
+    _check_m_d,
     _multiplicities,
     _orbit_stream,
     check_partition,
@@ -47,12 +48,8 @@ def _degree(pi: Partition) -> int:
 
 
 def _check_args(m: int, d: int, pi: Sequence[int]) -> Partition:
-    pi = check_partition(pi)
-    if sum(pi) != m:
-        raise ValueError(f"{pi} is not a partition of {m}")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return pi
+    _check_m_d(m, d)
+    return check_partition(pi, m)
 
 
 def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .config import limits
-from .errors import ResourceLimitError
-from .partitions import ExponentVector, Partition
+from .config import check_cap, limits
+from .partitions import ExponentVector, Partition, _check_m_d, check_exponent_vector
 
 Permutation = tuple[int, ...]
 
@@ -154,11 +153,10 @@ class PermutationGroup:
                     if prod not in elements:
                         elements.add(prod)
                         new_frontier.append(prod)
+                        # compared inline, so the closure makes no call per element
                         if len(elements) > cap:
-                            raise ResourceLimitError(
-                                f"group order exceeds the cap of {cap}"
-                                " (Limits.max_group_order; raise it with"
-                                " --max-elements or RELSYM_MAX_ELEMENTS)"
+                            check_cap(
+                                "max_group_order", len(elements), "the group order is at least"
                             )
             frontier = new_frontier
         self.m = m
@@ -169,8 +167,7 @@ class PermutationGroup:
 
     @classmethod
     def symmetric(cls, m: int) -> "PermutationGroup":
-        if m < 1:
-            raise ValueError("degree must be at least 1")
+        _check_m_d(m)
         if m == 1:
             return cls([identity_permutation(1)], 1)
         gens = [parse_permutation("(1 2)", m)]
@@ -206,9 +203,7 @@ class PermutationGroup:
     def stabilizer(self, alpha: Sequence[int]) -> "PermutationGroup":
         """The subgroup fixing the exponent vector ``alpha`` under the
         coordinate-permutation action."""
-        if len(alpha) != self.m:
-            raise ValueError(f"expected {self.m} entries, got {len(alpha)}")
-        alpha = tuple(alpha)
+        alpha = check_exponent_vector(alpha, self.m)
         fixed = [g for g in self.elements if apply_to_exponents(g, alpha) == alpha]
         return PermutationGroup(fixed, self.m)
 

@@ -15,8 +15,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, zip_longest
 from typing import Iterator, Sequence
 
-from .config import limits
-from .errors import ResourceLimitError
+from .config import check_cap
 
 Partition = tuple[int, ...]
 ExponentVector = tuple[int, ...]
@@ -32,14 +31,17 @@ def _check_ints(values: Sequence[int], field: str) -> tuple[int, ...]:
         raise ValueError(f"{field} entries must be integers, got {values}") from None
 
 
-def check_partition(parts: Sequence[int]) -> Partition:
-    """Validate and normalize a partition given as any integer sequence."""
+def check_partition(parts: Sequence[int], weight: int | None = None) -> Partition:
+    """Validate and normalize a partition given as any integer sequence;
+    ``weight``, when given, pins the sum of the parts."""
     p = _check_ints(parts, "partition")
     for i, x in enumerate(p):
         if x < 1:
             raise ValueError(f"partition parts must be positive, got {p}")
         if i + 1 < len(p) and p[i + 1] > x:
             raise ValueError(f"partition parts must be weakly decreasing, got {p}")
+    if weight is not None and sum(p) != weight:
+        raise ValueError(f"{p} is a partition of {sum(p)}, not {weight}")
     return p
 
 
@@ -150,11 +152,12 @@ def _vectors_lex(m: int, d: int) -> Iterator[ExponentVector]:
         yield tuple(map(operator.sub, sums + (d,), (0,) + sums))
 
 
-def _check_gamma_args(m: int, d: int) -> None:
+def _check_m_d(m: int, d: int = 0) -> None:
+    """The checks on m variables (the degree of S_m) and a degree d (0 passes)."""
     if m < 1:
-        raise ValueError("need at least one variable")
+        raise ValueError(f"m must be at least 1, got {m}")
     if d < 0:
-        raise ValueError("degree must be non-negative")
+        raise ValueError(f"d must be non-negative, got {d}")
 
 
 def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
@@ -164,14 +167,8 @@ def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
     Refuses to materialize more than ``limits().max_gamma`` tuples; formula
     paths that scale past the cap work from orbit representatives instead.
     """
-    _check_gamma_args(m, d)
-    cap = limits().max_gamma
-    size = gamma_size(m, d)
-    if size > cap:
-        raise ResourceLimitError(
-            f"Gamma({m}, {d}) has {size} elements, exceeding the cap of {cap}"
-            " (Limits.max_gamma; raise it with --max-gamma)"
-        )
+    _check_m_d(m, d)
+    check_cap("max_gamma", gamma_size(m, d), f"the number of vectors in Gamma({m}, {d}) is")
     return list(_vectors_lex(m, d))
 
 
@@ -188,7 +185,7 @@ def orbit_representatives(m: int, d: int) -> list[ExponentVector]:
 
 def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
     """The representatives of :func:`orbit_representatives`, one at a time."""
-    _check_gamma_args(m, d)
+    _check_m_d(m, d)
     for _, p in _partition_walk(d, m):
         yield p + (0,) * (m - len(p))
 

@@ -34,6 +34,7 @@ from .irreducibles import integer_irreducible_characters
 from .linalg import rank
 from .partitions import (
     ExponentVector,
+    _check_m_d,
     check_exponent_vector,
     check_partition,
     enumerate_gamma,
@@ -71,7 +72,6 @@ class CharacterSpec:
             )
         self.group = group
         self.degree = degree
-        self._values = tuple(element_values[g] for g in group.elements)
         self._by_element = {g: element_values[g] for g in group.elements}
 
     @classmethod
@@ -112,15 +112,14 @@ class CharacterSpec:
         return self._by_element[g]
 
     def items(self):
-        return zip(self.group.elements, self._values)
+        """``(element, value)`` pairs in the group's element order."""
+        return self._by_element.items()
 
 
 def sn_character_spec(m: int, pi: Sequence[int]) -> CharacterSpec:
     """The irreducible character of the full symmetric group indexed by the
     partition ``pi``, as a CharacterSpec on the standard group."""
-    pi = check_partition(pi)
-    if sum(pi) != m:
-        raise ValueError(f"{pi} is not a partition of {m}")
+    pi = check_partition(pi, m)
     group = PermutationGroup.symmetric(m)
     return CharacterSpec.from_cycle_type_values(group, _row(pi))
 
@@ -141,11 +140,17 @@ class SymmetrizedPolynomial:
         return sum((c * c for c in self.coefficients.values()), Fraction(0))
 
 
+def _check_group(group: PermutationGroup, chi: CharacterSpec) -> None:
+    if group.elements != chi.group.elements:
+        raise ValueError("the character is not a character of the given group")
+
+
 def _symmetrize_terms(
     group: PermutationGroup,
     chi: CharacterSpec,
     terms: Mapping[ExponentVector, Fraction],
 ) -> dict[ExponentVector, Fraction]:
+    _check_group(group, chi)
     out: dict[ExponentVector, Fraction] = {}
     for alpha, coeff in terms.items():
         for g, value in chi.items():
@@ -181,15 +186,13 @@ def symmetrize_polynomial(
 def norm_squared(
     group: PermutationGroup, chi: CharacterSpec, alpha: Sequence[int]
 ) -> Fraction:
-    """Squared norm of the symmetrized monomial, by the stabilizer formula
-    degree * [chi, 1]_stab / index, cross-checked against the direct
-    coefficient sum (the two agree exactly for integer-valued characters,
-    where the projection is self-adjoint)."""
+    """Squared norm of the symmetrized monomial, degree * [chi, 1]_stab / index
+    = degree * (chi summed over the stabilizer) / order, checked against the
+    coefficient sum (equal for integer characters: the projection is self-adjoint)."""
     alpha = check_exponent_vector(alpha, group.m)
-    stab = group.stabilizer(alpha)
-    avg = Fraction(sum(chi.value(g) for g in stab.elements), stab.order)
-    index = group.order // stab.order
-    formula = Fraction(chi.degree) * avg / index
+    _check_group(group, chi)
+    fixed = sum(value for g, value in chi.items() if apply_to_exponents(g, alpha) == alpha)
+    formula = Fraction(chi.degree * fixed, group.order)
     direct = symmetrize_monomial(group, chi, alpha).norm_squared()
     if formula != direct:
         raise ConsistencyError(
@@ -207,8 +210,7 @@ def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> in
     integer character sums; rows and columns follow the lexicographic
     exponent order.
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    _check_group(group, chi)
     vectors = enumerate_gamma(group.m, d)
     column = {beta: j for j, beta in enumerate(vectors)}
     matrix = []
@@ -226,8 +228,8 @@ def dimension_by_character_sum(
 ) -> int:
     """Dimension of the symmetrized degree-d space from the character paired
     with the per-element solution counts of the cycle-type coin equations."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    _check_m_d(group.m, d)
+    _check_group(group, chi)
     counts: dict[tuple, int] = {}
     total = 0
     for g, value in chi.items():

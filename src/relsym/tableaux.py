@@ -140,10 +140,7 @@ def _kostka_cached(mu: Partition, pi: Partition) -> int:
 def kostka(mu: Sequence[int], pi: Sequence[int]) -> int:
     """The Kostka number K(mu, pi) for partitions of equal weight."""
     mu = check_partition(mu)
-    pi = check_partition(pi)
-    if sum(mu) != sum(pi):
-        raise ValueError(f"shape and content weights differ: {mu}, {pi}")
-    return _kostka_cached(mu, pi)
+    return _kostka_cached(mu, check_partition(pi, sum(mu)))
 
 
 def enumerate_ssyt(mu: Sequence[int], content: Sequence[int]) -> list[Tableau]:

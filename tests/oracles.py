@@ -170,45 +170,29 @@ def subgroups(elements):
     return sorted((tuple(sorted(sub)) for sub in found), key=lambda sub: (len(sub), sub))
 
 
-def young_subgroup_elements(mu, m):
-    """All permutations fixing the consecutive blocks of sizes mu setwise."""
+def coset_induced_trivial_values(mu, m):
+    """Values of the permutation character on the left cosets of the Young
+    subgroup fixing the consecutive blocks B_1, ..., B_k of sizes mu, per
+    cycle type, by explicit coset enumeration.  The coset of sigma is
+    determined by its block images (sigma(B_1), ..., sigma(B_k)), and a
+    class representative fixes the coset exactly when it maps each image
+    onto itself."""
     assert sum(mu) == m
     blocks = []
     start = 0
     for size in mu:
-        blocks.append(list(range(start, start + size)))
+        blocks.append(range(start, start + size))
         start += size
-    elements = [tuple(range(m))]
-    for block in blocks:
-        new_elements = []
-        for base in elements:
-            for arrangement in permutations(block):
-                images = list(base)
-                for src, dst in zip(block, arrangement):
-                    images[src] = dst
-                new_elements.append(tuple(images))
-        elements = new_elements
-    return elements
-
-
-def coset_induced_trivial_values(mu, m):
-    """Values of the permutation character on cosets of the Young subgroup,
-    by explicit coset enumeration: the number of left cosets a class
-    representative fixes, per cycle type."""
-    subgroup = set(young_subgroup_elements(mu, m))
-    cosets = {}
-    for sigma in symmetric_group_elements(m):
-        coset = frozenset(compose(sigma, h) for h in subgroup)
-        cosets[coset] = None
-    coset_list = list(cosets)
+    cosets = {
+        tuple(frozenset(sigma[i] for i in block) for block in blocks)
+        for sigma in symmetric_group_elements(m)
+    }
     values = {}
     for rep in _class_representatives(m):
-        fixed = 0
-        for coset in coset_list:
-            moved = frozenset(compose(rep, sigma) for sigma in coset)
-            if moved == coset:
-                fixed += 1
-        values[cycle_type_of(rep)] = fixed
+        values[cycle_type_of(rep)] = sum(
+            all(frozenset(rep[i] for i in image) == image for image in coset)
+            for coset in cosets
+        )
     return values
 
 

@@ -53,7 +53,7 @@ def test_character_table_bound():
         assert character_table(13)[(13,)][(13,)] == 1
 
 
-@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_table_matches_coset_peeling_oracle(m):
     assert character_table(m) == oracle_character_table(m)
 
@@ -158,8 +158,8 @@ def test_class_function_validation_and_arithmetic():
 
 
 def test_character_table_concurrent_construction():
-    # the coset oracle takes about 50 s at m = 7, so the threads build m = 6;
-    # from an empty value cache, so that they fill it concurrently
+    # the threads build m = 6 from an empty value cache, so that they fill it
+    # concurrently
     expected = oracle_character_table(6)
     _mn_value.cache_clear()
     results = []

@@ -165,6 +165,23 @@ def test_input_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("qchar", "--m", "3", "--d", "-1"), "d must be non-negative, got -1"),
+        (("decompose", "--m", "0", "--d", "3"), "m must be at least 1, got 0"),
+        (("vanish", "--m", "3", "--d", "-1", "--partition", "3"),
+         "d must be non-negative, got -1"),
+        (("dim", "--m", "3", "--d", "2", "--partition", "2,2"),
+         "(2, 2) is a partition of 4, not 3"),
+        (("character", "--partition", "2,1", "--class", "2"), "(2,) is a partition of 2, not 3"),
+    ],
+    ids=["qchar-d", "decompose-m", "vanish-d", "dim-partition", "character-class"],
+)
+def test_input_errors_name_the_flag_and_the_value(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(
         capsys, "dim", "--m", "3", "--d", "2", "--partition", "2,1", "--verify",
@@ -196,7 +213,7 @@ def test_env_var_cap(capsys, monkeypatch):
         "--character", "/nonexistent", "--alpha", "1,1,0",
     )
     assert code == 2
-    assert "group order exceeds" in err
+    assert "group order is at least 4, exceeding the cap of 3" in err
 
 
 def test_malformed_env_var_cap_is_named(capsys, monkeypatch):
@@ -560,7 +577,11 @@ _DIM_WITHOUT_RANK = [
             "rank_dimension": None,
             "nonvanishing_witness": None,
         },
-        [],
+        [
+            ["orbit_sum equals inner_product", True],
+            ["orbit_sum equals decomposition", True],
+            ["non-vanishing matches positivity", True],
+        ],
         "m=3 d=2 partition=(1,1,1)\n"
         "dimension: 0\n"
         "  orbit sum:      0\n"
@@ -598,6 +619,6 @@ def test_dim_checks_the_character_cap_before_any_route(capsys, m, d, partition):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == (
-        f"resource limit: character table for degree {m} exceeds the bound 12"
-        " (Limits.max_character_table_m; no command-line flag raises it)\n"
+        f"resource limit: the degree m of a character row or table is {m}, exceeding"
+        " the cap of 12 (Limits.max_character_table_m; no command-line flag raises it)\n"
     )

@@ -34,6 +34,15 @@ def test_check_partition_rejects_bad_input():
     assert check_partition(()) == ()
 
 
+def test_check_partition_pins_the_weight():
+    assert check_partition([2, 1], 3) == (2, 1)
+    assert check_partition((), 0) == ()
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is a partition of 4, not 3$"):
+        check_partition((2, 2), 3)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        check_partition((1, 2), 3)
+
+
 def test_dominates_examples():
     assert dominates((4,), (4,))
     assert dominates((3, 1), (2, 2))

@@ -127,6 +127,25 @@ def test_character_sum_examples():
     assert dimension_by_character_sum(s2(), sn_character_spec(2, (1, 1)), 0) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [dimension_by_rank, dimension_by_character_sum, norm_squared, symmetrize_monomial],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("group", [
+    PermutationGroup(parse_generators("(1 2 3)", 3), 3),  # a subgroup: wrong dimensions
+    PermutationGroup.symmetric(2),  # fewer points: an index error
+], ids=["C3", "S2"])
+def test_a_character_of_another_group_is_rejected(call, group):
+    spec = sn_character_spec(3, (2, 1))
+    arg = (1, 1, 0)[: group.m] if call in (norm_squared, symmetrize_monomial) else 2
+    with pytest.raises(ValueError, match="not a character of the given group"):
+        call(group, spec, arg)
+    poly = symmetrize_monomial(spec.group, spec, (1, 1, 0))
+    with pytest.raises(ValueError, match="not a character of the given group"):
+        symmetrize_polynomial(group, spec, poly)
+
+
 def test_rank_cap():
     with use_limits(max_gamma=3), pytest.raises(ResourceLimitError):
         dimension_by_rank(s3(), sn_character_spec(3, (2, 1)), 2)
