@@ -73,11 +73,17 @@ def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:
     return _mn_value(pi, check_partition(lam, sum(pi)))
 
 
-def _classes(m: int) -> list[Partition]:
+@lru_cache(maxsize=None)
+def _cycle_types(m: int) -> tuple[Partition, ...]:
+    """The partitions of ``m``, enumerated once per ``m``."""
+    return tuple(enumerate_partitions(m))
+
+
+def _classes(m: int) -> tuple[Partition, ...]:
     """The classes of degree ``m``, once ``m`` is within the character cap."""
     _check_m_d(m)
     check_cap("max_character_table_m", m, "the degree m of a character row or table is")
-    return enumerate_partitions(m)
+    return _cycle_types(m)
 
 
 def _row(pi: Partition, classes: Sequence[Partition] | None = None) -> dict[Partition, int]:
@@ -103,8 +109,7 @@ class ClassFunction:
     values: Mapping[Partition, int | Fraction]
 
     def __post_init__(self) -> None:
-        expected = set(enumerate_partitions(self.m))
-        if set(self.values) != expected:
+        if set(self.values) != set(_cycle_types(self.m)):
             raise ValueError(f"need a value for every cycle type of degree {self.m}")
 
     def __call__(self, lam: Sequence[int]) -> int | Fraction:
@@ -209,4 +214,4 @@ def induced_trivial_character(mu: Sequence[int]) -> ClassFunction:
 
 
 def trivial_character(m: int) -> ClassFunction:
-    return ClassFunction(m, dict.fromkeys(enumerate_partitions(m), 1))
+    return ClassFunction(m, dict.fromkeys(_cycle_types(m), 1))

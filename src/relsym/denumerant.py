@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .characters import (
     ClassFunction,
+    _cycle_types,
     class_function_from_decomposition,  # re-exported: it expands denumerant_decomposition
     induced_trivial_character,
 )
@@ -29,7 +30,6 @@ from .partitions import (
     _check_m_d,
     _partition_walk,
     enumerate_gamma,
-    enumerate_partitions,
     multiplicity_factorial,
     multiplicity_partition,
     orbit_type_counts,
@@ -103,7 +103,7 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
     types sharing a prefix share its coin DP, kept on a stack along the walk.
     """
     _check_m_d(m, d)
-    values: dict[Partition, int] = {}
+    values = []
     stack = [[1] + [0] * d]  # stack[k]: the counts for the first k coins
     for changed, lam in _partition_walk(m, m):
         del stack[changed + 1:]
@@ -111,8 +111,10 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
             counts = stack[-1].copy()
             _add_coin(counts, a)
             stack.append(counts)
-        values[lam] = stack[-1][d]
-    return ClassFunction(m, values)
+        values.append(stack[-1][d])
+    # the walk visits the cycle types in their cached order; keying by the
+    # cached tuples keeps one copy of each partition alive, not two
+    return ClassFunction(m, dict(zip(_cycle_types(m), values, strict=True)))
 
 
 def verify_trace_identity(m: int, d: int) -> bool:
@@ -145,7 +147,7 @@ def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> C
         weighted = ((stab, multiplicity_factorial(stab)) for stab in stabilizers)
     else:
         weighted = orbit_type_counts(m, d).items()
-    classes = enumerate_partitions(m)
+    classes = _cycle_types(m)
     totals = [0] * len(classes)
     for shape, weight in weighted:
         induced = induced_trivial_character(shape)
@@ -160,7 +162,7 @@ def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
     function: the Kostka columns K(-, type) of the orbit types, weighted by
     their orbit counts."""
     _check_m_d(m, d)
-    out = dict.fromkeys(enumerate_partitions(m), 0)
+    out = dict.fromkeys(_cycle_types(m), 0)
     for shape, count in orbit_type_counts(m, d).items():
         for pi, k in _kostka_column(shape).items():
             out[pi] += count * k

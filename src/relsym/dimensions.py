@@ -137,7 +137,7 @@ class DimensionReport:
 
 
 # rank verification stays affordable up to this many exponent vectors
-_RANK_VERIFY_MAX_M = 5
+_RANK_VERIFY_MAX_M = 6
 _RANK_VERIFY_MAX_GAMMA = 1000
 
 

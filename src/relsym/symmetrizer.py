@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .characters import _row
 from .denumerant import denumerant
@@ -201,26 +201,52 @@ def norm_squared(
     return formula
 
 
+def _orbit_blocks(
+    group: PermutationGroup, chi: CharacterSpec, d: int
+) -> Iterator[tuple[tuple[ExponentVector, ...], list[list[int]]]]:
+    """Yield ``(orbit, block)`` for every orbit of Gamma(m, d) under ``group``:
+    the orbit's vectors in lexicographic order, and the integer rows of the
+    symmetrized monomials over them, scaled by order / degree.
+
+    A row for alpha is non-zero only on alpha's orbit, so these blocks are
+    the whole coefficient matrix, reordered.  One pass over the group gives
+    the first row and, for every beta in the orbit, an element h carrying
+    alpha to beta; as chi is a class function, row(h.alpha)[h.gamma] =
+    row(alpha)[gamma] fills the other rows.
+    """
+    _check_group(group, chi)
+    seen: set[ExponentVector] = set()
+    for alpha in enumerate_gamma(group.m, d):
+        if alpha in seen:
+            continue
+        carrier: dict[ExponentVector, Permutation] = {}
+        first: dict[ExponentVector, int] = {}
+        for g, value in chi.items():
+            beta = apply_to_exponents(g, alpha)
+            carrier.setdefault(beta, g)
+            if value:
+                first[beta] = first.get(beta, 0) + value
+        orbit = tuple(sorted(carrier))
+        seen.update(orbit)
+        column = {beta: j for j, beta in enumerate(orbit)}
+        support = [(gamma, v) for gamma, v in first.items() if v]
+        block = []
+        for beta in orbit:
+            h = carrier[beta]
+            row = [0] * len(orbit)
+            for gamma, v in support:
+                row[column[apply_to_exponents(h, gamma)]] = v
+            block.append(row)
+        yield orbit, block
+
+
 def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> int:
     """Dimension of the symmetrized degree-d space as the exact rank of the
     matrix whose rows are the symmetrized monomials over all exponent
-    vectors.
-
-    The common positive factor degree / order is cleared first, leaving
-    integer character sums; rows and columns follow the lexicographic
-    exponent order.
-    """
-    _check_group(group, chi)
-    vectors = enumerate_gamma(group.m, d)
-    column = {beta: j for j, beta in enumerate(vectors)}
-    matrix = []
-    for alpha in vectors:
-        row = [0] * len(vectors)
-        for g, value in chi.items():
-            if value:
-                row[column[apply_to_exponents(g, alpha)]] += value
-        matrix.append(row)
-    return rank(matrix)
+    vectors, with the common positive factor degree / order cleared.  The
+    matrix is block-diagonal by orbit, so its rank is the sum of the
+    orbit blocks' ranks."""
+    return sum(rank(block) for _, block in _orbit_blocks(group, chi, d))
 
 
 def dimension_by_character_sum(

@@ -3,7 +3,8 @@
 Nothing here imports the computation paths under test: solution counts come
 from nested enumeration, tableau counts from filtering raw fillings,
 character tables from coset actions plus Gram-Schmidt peeling, ranks
-from plain rational Gaussian elimination, subgroup lists from closing
+from plain rational Gaussian elimination, symmetrized-monomial ranks from
+the whole dense coefficient matrix, subgroup lists from closing
 element sets under products, and orbit types and non-vanishing witnesses
 from filtering all multisets of exponents.
 """
@@ -14,7 +15,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
 
 def brute_force_denumerant(coins, d):
@@ -272,6 +273,22 @@ def fraction_matrix_rank(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def dense_rank_dimension(group, chi, d):
+    """Dimension of the symmetrized degree-d space as the rank of the dense
+    matrix with one row and one column per exponent vector of degree d, in
+    lexicographic order: entry (alpha, beta) is the sum of chi(g) over the
+    g carrying alpha to beta (entry i of g.alpha is entry g[i] of alpha)."""
+    vectors = [v for v in product(range(d + 1), repeat=group.m) if sum(v) == d]
+    column = {beta: j for j, beta in enumerate(vectors)}
+    matrix = []
+    for alpha in vectors:
+        row = [0] * len(vectors)
+        for g, value in chi.items():
+            row[column[tuple(alpha[i] for i in g)]] += value
+        matrix.append(row)
+    return fraction_matrix_rank(matrix)
 
 
 def hook_length_dimension(pi):

@@ -540,8 +540,8 @@ def test_help_ends_with_the_shared_options(capsys, command):
 
 _DIM_WITHOUT_RANK = [
     (
-        ("dim", "--m", "6", "--d", "3", "--partition", "4,2", "--verify"),
-        {"m": 6, "d": 3, "partition": [4, 2], "verify": True},
+        ("dim", "--m", "6", "--d", "3", "--partition", "4,2"),
+        {"m": 6, "d": 3, "partition": [4, 2], "verify": False},
         {
             "m": 6,
             "d": 3,
@@ -588,6 +588,32 @@ _DIM_WITHOUT_RANK = [
         "  inner product:  0\n"
         "  decomposition:  0\n"
         "witness: none\n",
+    ),
+    (
+        # --verify outside the rank window: m = 7
+        ("dim", "--m", "7", "--d", "3", "--partition", "5,2", "--verify"),
+        {"m": 7, "d": 3, "partition": [5, 2], "verify": True},
+        {
+            "m": 7,
+            "d": 3,
+            "partition": [5, 2],
+            "dim_orbit_sum": 28,
+            "dim_inner_product": 28,
+            "dim_decomposition": 28,
+            "rank_dimension": None,
+            "nonvanishing_witness": [2, 1, 0, 0, 0, 0, 0],
+        },
+        [
+            ["orbit_sum equals inner_product", True],
+            ["orbit_sum equals decomposition", True],
+            ["non-vanishing matches positivity", True],
+        ],
+        "m=7 d=3 partition=(5,2)\n"
+        "dimension: 28\n"
+        "  orbit sum:      28\n"
+        "  inner product:  28\n"
+        "  decomposition:  28\n"
+        "witness: (2,1,0,0,0,0,0)\n",
     ),
 ]
 

@@ -132,7 +132,7 @@ def test_dimension_report_fields():
 def test_rank_verification_window():
     assert rank_verification_applies(3, 2)
     assert rank_verification_applies(5, 6)
-    assert not rank_verification_applies(6, 2)
+    assert not rank_verification_applies(7, 2)
     assert not rank_verification_applies(5, 40)
 
 

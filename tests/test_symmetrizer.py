@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fraction_matrix_rank, subgroups, symmetric_group_elements
+from oracles import (
+    dense_rank_dimension,
+    fraction_matrix_rank,
+    subgroups,
+    symmetric_group_elements,
+)
 from relsym.dimensions import dim_via_orbit_sum, is_nonvanishing
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
@@ -19,6 +24,7 @@ from relsym.partitions import (
 )
 from relsym.symmetrizer import (
     CharacterSpec,
+    _orbit_blocks,
     character_specs_for_integer_irreducibles,
     dimension_by_character_sum,
     dimension_by_rank,
@@ -157,6 +163,46 @@ def test_rank_equals_character_sum_on_s4_subgroups():
             assert dimension_by_rank(group, spec, d) == dimension_by_character_sum(
                 group, spec, d
             )
+
+
+def test_orbit_block_rank_equals_the_dense_rank():
+    for m in range(1, 5):
+        for pi in enumerate_partitions(m):
+            spec = sn_character_spec(m, pi)
+            for d in range(0, 6):
+                assert dimension_by_rank(spec.group, spec, d) == dense_rank_dimension(
+                    spec.group, spec, d
+                )
+    for group, spec in _all_s4_subgroup_specs():
+        for d in range(0, 5):
+            assert dimension_by_rank(group, spec, d) == dense_rank_dimension(group, spec, d)
+
+
+_BLOCK_GROUPS = [
+    ("S3", PermutationGroup.symmetric(3), 4),
+    ("S4", PermutationGroup.symmetric(4), 3),
+    ("D4", PermutationGroup(parse_generators("(1 2 3 4), (1 3)", 4), 4), 3),
+    ("V4", PermutationGroup(parse_generators("(1 2)(3 4), (1 3)(2 4)", 4), 4), 3),
+]
+
+
+@pytest.mark.parametrize("group, max_d", [(g, d) for _, g, d in _BLOCK_GROUPS],
+                         ids=[name for name, _, _ in _BLOCK_GROUPS])
+def test_orbit_blocks_are_the_scaled_symmetrized_monomials(group, max_d):
+    for spec in character_specs_for_integer_irreducibles(group):
+        scale = Fraction(group.order, spec.degree)
+        for d in range(0, max_d + 1):
+            orbits = []
+            for orbit, block in _orbit_blocks(group, spec, d):
+                assert set(orbit) == group.orbit(orbit[0])
+                assert len(block) == len(orbit)
+                for alpha, row in zip(orbit, block):
+                    poly = symmetrize_monomial(group, spec, alpha)
+                    assert {beta: v for beta, v in zip(orbit, row) if v} == {
+                        beta: c * scale for beta, c in poly.coefficients.items()
+                    }
+                orbits.extend(orbit)
+            assert sorted(orbits) == enumerate_gamma(group.m, d)
 
 
 @pytest.mark.parametrize("m", range(1, 6))

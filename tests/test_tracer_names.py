@@ -2,8 +2,11 @@
 string; a rename in relsym that the tracer does not follow would silently
 drop their counters.  The tracer is loaded from its file, not installed."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -14,15 +17,44 @@ tracer = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracer)
 
 
+def _resolve(layer, name):
+    owner, _, method = name.partition(".")
+    found = getattr(importlib.import_module(f"relsym.{layer}"), owner)
+    return getattr(found, method) if method else found
+
+
 @pytest.mark.parametrize("layer, name", [
     (layer, name) for layer, names in tracer.FUNCTIONS.items() for name in names
 ])
 def test_traced_function_resolves(layer, name):
-    owner, _, method = name.partition(".")
-    found = getattr(importlib.import_module(f"relsym.{layer}"), owner)
-    if method:
-        found = getattr(found, method)
-    assert callable(found)
+    assert callable(_resolve(layer, name))
+
+
+def _bound_names(count):
+    """The argument names a counter reads from a signature binding, as
+    ``bound.arguments["name"]``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(count)))
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "arguments"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_the_guard_sees_the_cells_counter_binding():
+    assert _bound_names(tracer._cells) == {"group", "d"}
+
+
+@pytest.mark.parametrize("span, count", [
+    (span, count) for span, (_, count) in tracer._COUNTING.items() if _bound_names(count)
+])
+def test_counter_binds_parameters_the_function_has(span, count):
+    layer, _, name = span.partition(".")
+    parameters = inspect.signature(_resolve(layer, name)).parameters
+    assert _bound_names(count) <= set(parameters)
 
 
 @pytest.mark.parametrize("module, helper", [
