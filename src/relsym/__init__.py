@@ -23,8 +23,6 @@ from .denumerant import (
     denumerant_by_induced_characters,
     denumerant_class_function,
     denumerant_decomposition,
-    denumerant_series,
-    verify_trace_identity,
 )
 from .dimensions import (
     DimensionReport,

@@ -18,7 +18,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Sequence
 
 from . import config
 from .characters import character_table, irreducible_character_value
@@ -69,37 +70,53 @@ def _json_value(v):
     return v
 
 
-def _emit(args, inputs: dict, result, text: str, cross_checks=()) -> None:
-    if args.json:
-        envelope = {
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "cross_checks": [[name, bool(ok)] for name, ok in cross_checks],
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-    else:
-        print(text)
+_JSON_BATCH = 4096  # encoder chunks joined per write
+
+
+def _emit(
+    args, inputs: dict, result: Callable[[], object], text: Callable[[], str], cross_checks=()
+) -> None:
+    """Print the JSON envelope under ``--json``, else the text; only the one
+    printed is built.  The envelope is streamed in batches of encoder chunks,
+    the same bytes as ``print(json.dumps(envelope, indent=2, sort_keys=True))``
+    without holding the whole string."""
+    if not args.json:
+        print(text())
+        return
+    envelope = {
+        "command": args.command,
+        "inputs": inputs,
+        "result": result(),
+        "cross_checks": [[name, bool(ok)] for name, ok in cross_checks],
+    }
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
+    write = sys.stdout.write
+    while batch := list(islice(chunks, _JSON_BATCH)):
+        write("".join(batch))
+    write("\n")
 
 
 def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
     """One row per partition ``p`` in ``values``, in its order: ``p`` and its
     integer ``values[p]``, keyed by ``names``."""
-    rows = [{names[0]: list(p), names[1]: int(v)} for p, v in values.items()]
-    text = ", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items())
-    _emit(args, {"m": args.m, "d": args.d}, {key: rows}, text)
+    _emit(
+        args,
+        {"m": args.m, "d": args.d},
+        lambda: {key: [{names[0]: list(p), names[1]: int(v)} for p, v in values.items()]},
+        lambda: ", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items()),
+    )
 
 
 def _cmd_denumerant(args) -> None:
     coins = _parse_ints(args.coins, "--coins")
     if args.series:
         values = _denumerant_counts(coins, args.amount)
-        result, text = {"series": values}, " ".join(str(v) for v in values)
+        result, text = {"series": values}, lambda: " ".join(str(v) for v in values)
     else:
         value = denumerant(coins, args.amount)
-        result, text = {"count": value}, str(value)
+        result, text = {"count": value}, lambda: str(value)
     inputs = {"coins": list(coins), "amount": args.amount, "series": args.series}
-    _emit(args, inputs, result, text)
+    _emit(args, inputs, lambda: result, text)
 
 
 def _cmd_qchar(args) -> None:
@@ -116,44 +133,56 @@ def _cmd_kostka(args) -> None:
     shape = _parse_ints(args.shape, "--shape")
     content = _parse_ints(args.content, "--content")
     value = count_fillings(shape, content)
-    _emit(args, {"shape": list(shape), "content": list(content)}, {"kostka": value}, str(value))
+    inputs = {"shape": list(shape), "content": list(content)}
+    _emit(args, inputs, lambda: {"kostka": value}, lambda: str(value))
 
 
 def _cmd_character(args) -> None:
     if args.table is not None:
         table = character_table(args.table)
-        classes = list(table)
-        rows = [{"partition": list(pi), "values": list(row.values())} for pi, row in table.items()]
-        lines = ["classes: " + " ".join(_format_partition(lam) for lam in classes)]
-        lines += [
-            _format_partition(row["partition"]) + ": " + " ".join(map(str, row["values"]))
-            for row in rows
-        ]
-        result = {"classes": [list(lam) for lam in classes], "rows": rows}
-        _emit(args, {"table": args.table}, result, "\n".join(lines))
+
+        def result():
+            rows = [
+                {"partition": list(pi), "values": list(row.values())} for pi, row in table.items()
+            ]
+            return {"classes": [list(lam) for lam in table], "rows": rows}
+
+        def text():
+            lines = ["classes: " + " ".join(_format_partition(lam) for lam in table)]
+            lines += [
+                _format_partition(pi) + ": " + " ".join(map(str, row.values()))
+                for pi, row in table.items()
+            ]
+            return "\n".join(lines)
+
+        _emit(args, {"table": args.table}, result, text)
         return
     if not args.partition or not args.cls:
         raise ValueError("need either --table M or both --partition and --class")
     pi = _parse_ints(args.partition, "--partition")
     lam = _parse_ints(args.cls, "--class")
     value = irreducible_character_value(pi, lam)
-    _emit(args, {"partition": list(pi), "class": list(lam)}, {"value": value}, str(value))
+    inputs = {"partition": list(pi), "class": list(lam)}
+    _emit(args, inputs, lambda: {"value": value}, lambda: str(value))
 
 
 def _cmd_dim(args) -> None:
     pi = _parse_ints(args.partition, "--partition")
     report = dimension_report(args.m, args.d, pi, verify_rank=args.verify)
     witness = report.nonvanishing_witness
-    lines = [
-        f"m={report.m} d={report.d} partition={_format_partition(report.pi)}",
-        f"dimension: {report.dimension}",
-        *(f"  {name.replace('_', ' ') + ':':16}{value}" for name, value in report.by_route()),
-        "witness: " + (_format_partition(witness) if witness is not None else "none"),
-    ]
+
+    def text():
+        return "\n".join([
+            f"m={report.m} d={report.d} partition={_format_partition(report.pi)}",
+            f"dimension: {report.dimension}",
+            *(f"  {name.replace('_', ' ') + ':':16}{value}" for name, value in report.by_route()),
+            "witness: " + (_format_partition(witness) if witness is not None else "none"),
+        ])
+
     result = dataclasses.asdict(report)
     result["partition"] = result.pop("pi")
     inputs = {"m": args.m, "d": args.d, "partition": list(pi), "verify": args.verify}
-    _emit(args, inputs, result, "\n".join(lines), report.checks())
+    _emit(args, inputs, lambda: result, text, report.checks())
 
 
 def _cmd_vanish(args) -> None:
@@ -164,7 +193,8 @@ def _cmd_vanish(args) -> None:
     else:
         text = "vanishes (no witness)"
     result = {"nonvanishing": nonzero, "witness": list(witness) if witness is not None else None}
-    _emit(args, {"m": args.m, "d": args.d, "partition": list(pi)}, result, text)
+    inputs = {"m": args.m, "d": args.d, "partition": list(pi)}
+    _emit(args, inputs, lambda: result, lambda: text)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -215,7 +245,7 @@ def _cmd_symmetrize(args) -> None:
         "norm_squared": _json_value(norm),
     }
     inputs = {"generators": args.generators, "character": args.character, "alpha": list(alpha)}
-    _emit(args, inputs, result, "\n".join(lines))
+    _emit(args, inputs, lambda: result, lambda: "\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:

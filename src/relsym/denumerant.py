@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .characters import (
@@ -23,7 +25,6 @@ from .characters import (
     class_function_from_decomposition,  # re-exported: it expands denumerant_decomposition
     induced_trivial_character,
 )
-from .groups import apply_to_exponents, permutation_of_cycle_type
 from .partitions import (
     Partition,
     _check_ints,
@@ -72,63 +73,36 @@ def _add_coin(counts: list[int], a: int) -> None:
         counts[j] += counts[j - a]
 
 
-def denumerant_series(coins: Sequence[int], d_max: int) -> list[int]:
-    """Counts for all amounts 0..d_max, as the truncated coefficient list of
-    the product of the geometric series 1/(1 - t**a) over the coins.
-
-    Implemented as explicit polynomial multiplication so it shares no code
-    with :func:`denumerant`: it is the tests' independent reference, not the
-    path the CLI's ``denumerant --series`` takes.
-    """
-    coins = check_coins(coins)
-    if d_max < 0:
-        raise ValueError("amount must be non-negative")
-    series = [1] + [0] * d_max
-    for a in coins:
-        factor = [1 if j % a == 0 else 0 for j in range(d_max + 1)]
-        out = [0] * (d_max + 1)
-        for i, c in enumerate(series):
-            if c == 0:
-                continue
-            for j in range(d_max + 1 - i):
-                if factor[j]:
-                    out[i + j] += c
-        series = out
-    return series
-
-
 def denumerant_class_function(m: int, d: int) -> ClassFunction:
     """The trace function of degree-d monomial permutation: its value on a
-    cycle type equals the denumerant with that type as coin system.  Cycle
-    types sharing a prefix share its coin DP, kept on a stack along the walk.
+    cycle type equals the denumerant with that type as coin system.
+
+    Every cycle type is P + 1^k, with P its parts above 1.  The k coins of
+    value 1 pay an amount i in C(i + k - 1, k - 1) ways, so the value is
+    sum over j of A_P[j] * C(d - j + k - 1, k - 1), where A_P[j] counts the
+    ways P pays j: one coin DP per distinct P, and for each cycle type one
+    dot product with the reversed counts of 1^k (for k = 0, the indicator
+    of d).  Cycle types sharing a prefix of P share its coin DP, kept on a
+    stack along the walk.
     """
     _check_m_d(m, d)
+    ones = [[0] * d + [1]]  # ones[k]: the counts for 1^k, reversed
+    for _ in range(m):
+        ones.append(list(accumulate(reversed(ones[-1])))[::-1])
     values = []
-    stack = [[1] + [0] * d]  # stack[k]: the counts for the first k coins
+    stack = [[1] + [0] * d]  # stack[i]: the counts for the first i parts above 1
     for changed, lam in _partition_walk(m, m):
         del stack[changed + 1:]
-        for a in lam[changed:]:
+        for a in lam[len(stack) - 1:]:
+            if a == 1:
+                break
             counts = stack[-1].copy()
             _add_coin(counts, a)
             stack.append(counts)
-        values.append(stack[-1][d])
+        values.append(sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1])))
     # the walk visits the cycle types in their cached order; keying by the
     # cached tuples keeps one copy of each partition alive, not two
     return ClassFunction(m, dict(zip(_cycle_types(m), values, strict=True)))
-
-
-def verify_trace_identity(m: int, d: int) -> bool:
-    """Check, one representative permutation per cycle type, that the number
-    of exponent vectors fixed by the permutation equals the denumerant of its
-    cycle type.  Enumerates all of Gamma(m, d), so it is capped."""
-    gamma = enumerate_gamma(m, d)
-    expected = denumerant_class_function(m, d)
-    for lam, count in expected.values.items():
-        sigma = permutation_of_cycle_type(lam)
-        fixed = sum(1 for alpha in gamma if apply_to_exponents(sigma, alpha) == alpha)
-        if fixed != count:
-            return False
-    return True
 
 
 def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> ClassFunction:

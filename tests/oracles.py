@@ -1,7 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Nothing here imports the computation paths under test: solution counts come
-from nested enumeration, tableau counts from filtering raw fillings,
+from nested enumeration, series multiplication and a coin DP over every part
+of every cycle type, fixed-point counts from filtering all exponent vectors,
+tableau counts from filtering raw fillings,
 character tables from coset actions plus Gram-Schmidt peeling, ranks
 from plain rational Gaussian elimination, symmetrized-monomial ranks from
 the whole dense coefficient matrix, subgroup lists from closing
@@ -15,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, permutations
 
 
 def brute_force_denumerant(coins, d):
@@ -31,6 +33,69 @@ def brute_force_denumerant(coins, d):
         return total
 
     return rec(0, d)
+
+
+def denumerant_series(coins, d_max):
+    """Counts for all amounts 0..d_max, as the truncated coefficient list of
+    the product of the geometric series 1/(1 - t**a) over the coins, by
+    explicit polynomial multiplication."""
+    series = [1] + [0] * d_max
+    for a in coins:
+        factor = [1 if j % a == 0 else 0 for j in range(d_max + 1)]
+        out = [0] * (d_max + 1)
+        for i, c in enumerate(series):
+            if c == 0:
+                continue
+            for j in range(d_max + 1 - i):
+                if factor[j]:
+                    out[i + j] += c
+        series = out
+    return series
+
+
+def prefix_walk_class_function(m, d):
+    """The denumerant of every cycle type of m at amount d, keyed by cycle
+    type in reverse-lexicographic order: one coin DP pass per part of each
+    cycle type, every part 1 included, with cycle types that share a prefix
+    sharing its counts on a stack."""
+    values = {}
+    stack = [[1] + [0] * d]  # stack[k]: the counts for the first k parts
+    previous = ()
+    for lam in _partitions_desc(m):
+        shared = 0
+        while shared < min(len(lam), len(previous)) and lam[shared] == previous[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for a in lam[shared:]:
+            counts = stack[-1].copy()
+            for j in range(a, d + 1):
+                counts[j] += counts[j - a]
+            stack.append(counts)
+        values[lam] = stack[-1][d]
+        previous = lam
+    return values
+
+
+def exponent_vectors(m, d):
+    """Every m-tuple of non-negative integers summing to d, in
+    lexicographic order: each first entry, then the vectors of the rest."""
+    if m == 1:
+        return [(d,)]
+    return [
+        (first,) + rest for first in range(d + 1) for rest in exponent_vectors(m - 1, d - first)
+    ]
+
+
+def verify_trace_identity(m, d, values):
+    """Whether ``values`` maps each cycle type of degree m to the number of
+    degree-d exponent vectors that a permutation of that type fixes, with
+    the permutations and the vectors enumerated outright."""
+    vectors = exponent_vectors(m, d)
+    fixed = {
+        cycle_type_of(rep): sum(all(v[i] == v[rep[i]] for i in range(m)) for v in vectors)
+        for rep in _class_representatives(m)
+    }
+    return fixed == dict(values)
 
 
 def brute_force_kostka(shape, content):
@@ -280,7 +345,7 @@ def dense_rank_dimension(group, chi, d):
     matrix with one row and one column per exponent vector of degree d, in
     lexicographic order: entry (alpha, beta) is the sum of chi(g) over the
     g carrying alpha to beta (entry i of g.alpha is entry g[i] of alpha)."""
-    vectors = [v for v in product(range(d + 1), repeat=group.m) if sum(v) == d]
+    vectors = exponent_vectors(group.m, d)
     column = {beta: j for j, beta in enumerate(vectors)}
     matrix = []
     for alpha in vectors:

@@ -315,6 +315,40 @@ def test_json_round_trip(capsys, argv):
     assert rendered == out
 
 
+def test_streamed_envelope_is_the_one_shot_dump(capsys):
+    code, out, err = run(capsys, "qchar", "--m", "24", "--d", "24", "--json")
+    assert (code, err) == (0, "")
+    envelope = json.loads(out)
+    assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    # long enough that the envelope goes out in more than one batch
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
+    assert sum(1 for _ in chunks) > cli._JSON_BATCH
+
+
+def test_json_mode_builds_no_text(capsys, monkeypatch):
+    def no_text(p):
+        raise RuntimeError("text rendered")
+
+    monkeypatch.setattr(cli, "_format_partition", no_text)
+    for argv in [
+        ("qchar", "--m", "3", "--d", "2"),
+        ("decompose", "--m", "3", "--d", "2"),
+        ("character", "--table", "5"),
+        ("dim", "--m", "3", "--d", "2", "--partition", "2,1"),
+    ]:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == argv[0]
+    # text mode does render through the patched formatter, and with it back
+    # it prints as before
+    with pytest.raises(RuntimeError, match="text rendered"):
+        main(["qchar", "--m", "3", "--d", "2"])
+    monkeypatch.undo()
+    assert run(capsys, "qchar", "--m", "3", "--d", "2") == (
+        0, "(3): 0, (2,1): 2, (1,1,1): 6\n", ""
+    )
+
+
 def test_json_symmetrize_round_trip(capsys, tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps({"()": 1, "(1 2)": -1}))

@@ -1,11 +1,17 @@
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_force_denumerant
-from relsym.characters import character_table, trivial_character
+from oracles import (
+    brute_force_denumerant,
+    denumerant_series,
+    prefix_walk_class_function,
+    verify_trace_identity,
+)
+from relsym.characters import _cycle_types, character_table, trivial_character
 from relsym.denumerant import (
     _denumerant_counts,
     class_function_from_decomposition,
@@ -13,12 +19,11 @@ from relsym.denumerant import (
     denumerant_by_induced_characters,
     denumerant_class_function,
     denumerant_decomposition,
-    denumerant_series,
-    verify_trace_identity,
 )
-from relsym.config import use_limits
-from relsym.errors import ResourceLimitError
 from relsym.partitions import enumerate_partitions, gamma_size
+
+# the package re-exports the function denumerant under the module's name
+denumerant_module = importlib.import_module("relsym.denumerant")
 
 
 def test_denumerant_examples():
@@ -86,12 +91,46 @@ def test_class_function_examples():
 
 @pytest.mark.parametrize("m,d", [(1, 0), (1, 7), (3, 2), (4, 3), (5, 4)])
 def test_trace_identity_small(m, d):
-    assert verify_trace_identity(m, d)
+    assert verify_trace_identity(m, d, denumerant_class_function(m, d).values)
 
 
-def test_trace_identity_cap():
-    with use_limits(max_gamma=3), pytest.raises(ResourceLimitError):
-        verify_trace_identity(4, 4)
+def test_trace_identity_oracle_rejects_a_wrong_count():
+    values = dict(denumerant_class_function(4, 3).values)
+    values[(2, 2)] += 1
+    assert not verify_trace_identity(4, 3, values)
+
+
+def test_trailing_ones_match_the_prefix_walk():
+    for m in range(1, 15):
+        for d in range(0, 31):
+            assert denumerant_class_function(m, d).values == prefix_walk_class_function(m, d)
+    assert denumerant_class_function(36, 40).values == prefix_walk_class_function(36, 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=60))
+@example(1, 0)
+@example(1, 60)
+@example(16, 0)
+def test_trailing_ones_match_the_prefix_walk_sweep(m, d):
+    assert denumerant_class_function(m, d).values == prefix_walk_class_function(m, d)
+
+
+@pytest.mark.parametrize("m,d", [(12, 28), (36, 40)])
+def test_one_coin_pass_per_cycle_type_at_most(monkeypatch, m, d):
+    calls = 0
+    add_coin = denumerant_module._add_coin
+
+    def counting(counts, a):
+        nonlocal calls
+        calls += 1
+        add_coin(counts, a)
+
+    monkeypatch.setattr(denumerant_module, "_add_coin", counting)
+    denumerant_class_function(m, d)
+    # one pass per distinct nonempty P of parts above 1, and each P + 1^(m - |P|)
+    # is a cycle type: p(m) - 1 passes
+    assert 0 < calls <= len(_cycle_types(m))
 
 
 def test_induced_route_examples():
