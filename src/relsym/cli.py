@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .characters import character_table, irreducible_character_value
@@ -29,7 +29,9 @@ from .denumerant import (
     denumerant_class_function,
     denumerant_decomposition,
 )
-from .dimensions import dimension_report, is_nonvanishing
+from .dimensions import (
+    RANK_VERIFY_WINDOW, dimension_report, is_nonvanishing, rank_verification_applies
+)
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import PermutationGroup, parse_generators, parse_permutation
 from .partitions import check_exponent_vector
@@ -71,40 +73,100 @@ def _json_value(v):
 
 
 _JSON_BATCH = 4096  # encoder chunks joined per write
+# per-partition rows joined per write: ~55 KB, about one batch of chunks;
+# 4096 rows (~900 KB) would raise qchar --m 36 --d 40's peak RSS by 5 MB
+_ROW_BATCH = 256
+
+
+def _json_scalar(v: str | bool | int) -> str:
+    # the indenting encoder's text, without it: json.dumps sends a string
+    # straight to its escaper
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return int.__repr__(v)
+
+
+def _json_container(brackets: str, items: list[str], indent: str) -> str:
+    # rendered items one per line, one level below ``indent``
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _write_envelope(command: str, inputs: dict, cross_checks, result: Iterable[str]) -> None:
+    """Write the envelope as ``print(json.dumps(envelope, indent=2,
+    sort_keys=True))`` would, with ``result`` already rendered one level in,
+    without holding the whole string.  ``command``, ``cross_checks`` and
+    ``inputs`` sort before ``result``; the inputs are scalars or flat lists
+    of them, and each cross-check is a ``[name, passed]`` pair."""
+
+    def value(v, indent: str) -> str:
+        if isinstance(v, list):
+            return _json_container("[]", [_json_scalar(x) for x in v], indent)
+        return _json_scalar(v)
+
+    checks = [value([name, bool(ok)], "    ") for name, ok in cross_checks]
+    fields = [f"{_json_scalar(k)}: {value(inputs[k], '    ')}" for k in sorted(inputs)]
+    write = sys.stdout.write
+    write(
+        f'{{\n  "command": {_json_scalar(command)},\n'
+        f'  "cross_checks": {_json_container("[]", checks, "  ")},\n'
+        f'  "inputs": {_json_container("{}", fields, "  ")},\n'
+        '  "result": '
+    )
+    for text in result:
+        write(text)
+    write("\n}\n")
+
+
+def _encoded(value) -> Iterator[str]:
+    # the indenting encoder's chunks in batches, one level in; JSON strings
+    # escape their newlines, so every newline here starts an indent
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(value)
+    while batch := list(islice(chunks, _JSON_BATCH)):
+        yield "".join(batch).replace("\n", "\n  ")
 
 
 def _emit(
     args, inputs: dict, result: Callable[[], object], text: Callable[[], str], cross_checks=()
 ) -> None:
     """Print the JSON envelope under ``--json``, else the text; only the one
-    printed is built.  The envelope is streamed in batches of encoder chunks,
-    the same bytes as ``print(json.dumps(envelope, indent=2, sort_keys=True))``
-    without holding the whole string."""
-    if not args.json:
+    printed is built.  The ``result`` goes through the indenting encoder and
+    is streamed in batches of its chunks."""
+    if args.json:
+        _write_envelope(args.command, inputs, cross_checks, _encoded(result()))
+    else:
         print(text())
-        return
-    envelope = {
-        "command": args.command,
-        "inputs": inputs,
-        "result": result(),
-        "cross_checks": [[name, bool(ok)] for name, ok in cross_checks],
-    }
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
-    write = sys.stdout.write
-    while batch := list(islice(chunks, _JSON_BATCH)):
-        write("".join(batch))
-    write("\n")
+
+
+def _partition_rows(values, key: str, names: tuple[str, str]) -> Iterator[str]:
+    # ``{key: [{names[0]: list(p), names[1]: int(v)}, ...]}`` one level in,
+    # each row filled into one template in sorted key order; ``values`` has
+    # a row per partition of m >= 1, so neither it nor any row's list is empty
+    slots = {names[0]: "[\n          %(p)s\n        ]", names[1]: "%(v)d"}
+    row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
+    row += "\n      }"
+    sep = ",\n          "
+    rows = (row % {"p": sep.join(map(str, p)), "v": int(v)} for p, v in values.items())
+    yield "{\n    " + _json_scalar(key) + ": [\n" + ",\n".join(islice(rows, _ROW_BATCH))
+    while batch := list(islice(rows, _ROW_BATCH)):
+        yield ",\n" + ",\n".join(batch)
+    yield "\n    ]\n  }"
 
 
 def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
     """One row per partition ``p`` in ``values``, in its order: ``p`` and its
-    integer ``values[p]``, keyed by ``names``."""
-    _emit(
-        args,
-        {"m": args.m, "d": args.d},
-        lambda: {key: [{names[0]: list(p), names[1]: int(v)} for p, v in values.items()]},
-        lambda: ", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items()),
-    )
+    integer ``values[p]``, keyed by ``names``.  Under ``--json`` each row is
+    filled into one text template, in the bytes the indenting encoder would
+    print for it."""
+    if args.json:
+        inputs = {"m": args.m, "d": args.d}
+        _write_envelope(args.command, inputs, (), _partition_rows(values, key, names))
+    else:
+        print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items()))
 
 
 def _cmd_denumerant(args) -> None:
@@ -169,6 +231,9 @@ def _cmd_character(args) -> None:
 def _cmd_dim(args) -> None:
     pi = _parse_ints(args.partition, "--partition")
     report = dimension_report(args.m, args.d, pi, verify_rank=args.verify)
+    if args.verify and not rank_verification_applies(args.m, args.d):
+        note = f"note: --verify ran no exact rank check; it runs only at {RANK_VERIFY_WINDOW}"
+        print(note, file=sys.stderr)
     witness = report.nonvanishing_witness
 
     def text():

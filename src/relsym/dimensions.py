@@ -139,6 +139,7 @@ class DimensionReport:
 # rank verification stays affordable up to this many exponent vectors
 _RANK_VERIFY_MAX_M = 6
 _RANK_VERIFY_MAX_GAMMA = 1000
+RANK_VERIFY_WINDOW = f"m <= {_RANK_VERIFY_MAX_M} and |Gamma(m, d)| <= {_RANK_VERIFY_MAX_GAMMA}"
 
 
 def rank_verification_applies(m: int, d: int) -> bool:

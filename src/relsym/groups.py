@@ -51,19 +51,6 @@ def cycle_type(p: Permutation) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
-def permutation_of_cycle_type(lam: Sequence[int]) -> Permutation:
-    """A canonical permutation with the given cycle type: consecutive cycles
-    on 0..m-1, longest first."""
-    m = sum(lam)
-    images = list(range(m))
-    start = 0
-    for length in lam:
-        for offset in range(length):
-            images[start + offset] = start + (offset + 1) % length
-        start += length
-    return tuple(images)
-
-
 def apply_to_exponents(p: Permutation, alpha: Sequence[int]) -> ExponentVector:
     """The coordinate-permutation action on exponent vectors: entry i of the
     result is entry p[i] of the input."""

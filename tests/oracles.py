@@ -199,6 +199,18 @@ def cycle_type_of(p):
     return tuple(sorted(lengths, reverse=True))
 
 
+def permutation_of_cycle_type(lam):
+    """A canonical permutation with the given cycle type: consecutive cycles
+    on 0..m-1, longest first."""
+    images = list(range(sum(lam)))
+    start = 0
+    for length in lam:
+        for offset in range(length):
+            images[start + offset] = start + (offset + 1) % length
+        start += length
+    return tuple(images)
+
+
 def symmetric_group_elements(m):
     return [tuple(p) for p in permutations(range(m))]
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import relsym.cli as cli
 from relsym.cli import main
+from relsym.denumerant import denumerant_class_function, denumerant_decomposition
 from relsym.partitions import enumerate_gamma
 
 
@@ -349,6 +350,59 @@ def test_json_mode_builds_no_text(capsys, monkeypatch):
     )
 
 
+def _reference_per_partition(command, m, d):
+    """The ``qchar`` / ``decompose`` envelope as it was printed before rows
+    came from a template: one dict per row, then one indenting dump."""
+    if command == "qchar":
+        values = denumerant_class_function(m, d).values
+        key, names = "classes", ("cycle_type", "value")
+    else:
+        values = denumerant_decomposition(m, d)
+        key, names = "multiplicities", ("partition", "multiplicity")
+    envelope = {
+        "command": command,
+        "inputs": {"m": m, "d": d},
+        "result": {key: [{names[0]: list(p), names[1]: int(v)} for p, v in values.items()]},
+        "cross_checks": [],
+    }
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["qchar", "decompose"])
+def test_per_partition_rows_are_the_reference_dump(capsys, command):
+    # every m <= 9 with d <= 12, (1, 0) among them
+    for m in range(1, 10):
+        for d in range(13):
+            reference = _reference_per_partition(command, m, d)
+            assert run(capsys, command, "--m", str(m), "--d", str(d), "--json") == (
+                0, reference, ""
+            )
+
+
+@pytest.mark.parametrize("command", ["qchar", "decompose"])
+@pytest.mark.parametrize("m, d", [(24, 24), (36, 40)])
+def test_per_partition_rows_are_the_reference_dump_at_size(capsys, command, m, d):
+    # the reference's decompose reads the Kostka columns the run cached
+    out = run(capsys, command, "--m", str(m), "--d", str(d), "--json")
+    assert out == (0, _reference_per_partition(command, m, d), "")
+    (rows,) = json.loads(out[1])["result"].values()
+    assert len(rows) > cli._ROW_BATCH
+
+
+def test_per_partition_rows_skip_the_encoder(capsys, monkeypatch):
+    references = {cmd: _reference_per_partition(cmd, 5, 4) for cmd in ("qchar", "decompose")}
+
+    def no_encoder(self, o, _one_shot=False):
+        raise RuntimeError("encoder reached")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", no_encoder)
+    for command, reference in references.items():
+        assert run(capsys, command, "--m", "5", "--d", "4", "--json") == (0, reference, "")
+    # every other command still encodes its result
+    with pytest.raises(RuntimeError, match="encoder reached"):
+        main(["kostka", "--shape", "3,2", "--content", "2,2,1", "--json"])
+
+
 def test_json_symmetrize_round_trip(capsys, tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps({"()": 1, "(1 2)": -1}))
@@ -652,12 +706,20 @@ _DIM_WITHOUT_RANK = [
 ]
 
 
+_NO_RANK_NOTE = (
+    "note: --verify ran no exact rank check;"
+    " it runs only at m <= 6 and |Gamma(m, d)| <= 1000\n"
+)
+
+
 @pytest.mark.parametrize("argv, inputs, result, cross_checks, text", _DIM_WITHOUT_RANK)
 def test_dim_without_rank_output_is_pinned(capsys, argv, inputs, result, cross_checks, text):
-    code, out, err = run(capsys, *argv, "--json")
-    assert (code, err) == (0, "")
+    # --verify outside the rank window says on stderr that the rank did not run
+    err = _NO_RANK_NOTE if "--verify" in argv else ""
+    code, out, json_err = run(capsys, *argv, "--json")
+    assert (code, json_err) == (0, err)
     _assert_envelope(out, "dim", inputs, result, cross_checks)
-    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv) == (0, text, err)
 
 
 def test_long_series_takes_the_linear_dp(capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import subgroups, symmetric_group_elements
+from oracles import permutation_of_cycle_type, subgroups, symmetric_group_elements
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.groups import (
@@ -17,7 +17,6 @@ from relsym.groups import (
     inverse,
     parse_generators,
     parse_permutation,
-    permutation_of_cycle_type,
 )
 
 
