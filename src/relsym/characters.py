@@ -20,13 +20,12 @@ one type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Mapping, Sequence
 
-from .config import check_cap
+from .config import Record, check_cap
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
@@ -100,15 +99,13 @@ def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
     return {pi: _row(pi, classes) for pi in classes}
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record):
     """A function on a symmetric group constant on conjugacy classes, indexed
     by cycle type.  Values are kept as given, so integral ones stay ints."""
 
-    m: int
-    values: Mapping[Partition, int | Fraction]
+    __slots__ = ("m", "values")  # values: Mapping[Partition, int | Fraction]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if set(self.values) != set(_cycle_types(self.m)):
             raise ValueError(f"need a value for every cycle type of degree {self.m}")
 

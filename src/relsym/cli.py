@@ -13,13 +13,12 @@ includes the exact rank.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .characters import character_table, irreducible_character_value
@@ -244,7 +243,7 @@ def _cmd_dim(args) -> None:
             "witness: " + (_format_partition(witness) if witness is not None else "none"),
         ])
 
-    result = dataclasses.asdict(report)
+    result = report._asdict()
     result["partition"] = result.pop("pi")
     inputs = {"m": args.m, "d": args.d, "partition": list(pi), "verify": args.verify}
     _emit(args, inputs, lambda: result, text, report.checks())

@@ -13,11 +13,9 @@ Agreement of all three is the package's central cross-check.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
 
 from .characters import (
     ClassFunction,
@@ -30,9 +28,6 @@ from .partitions import (
     _check_ints,
     _check_m_d,
     _partition_walk,
-    enumerate_gamma,
-    multiplicity_factorial,
-    multiplicity_partition,
     orbit_type_counts,
 )
 from .tableaux import _kostka_column
@@ -105,30 +100,18 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
     return ClassFunction(m, dict(zip(_cycle_types(m), values, strict=True)))
 
 
-def denumerant_by_induced_characters(m: int, d: int, literal: bool = False) -> ClassFunction:
+def denumerant_by_induced_characters(m: int, d: int) -> ClassFunction:
     """Reassemble the denumerant class function from characters induced from
-    exponent-vector stabilizers.
-
-    The default path sums, over the orbit types of Gamma(m, d), the orbit
-    count times the character induced from the type's Young subgroup.  With
-    ``literal=True``, the full average over all of Gamma(m, d) is computed
-    instead, weighting each vector by its stabilizer order; that path
-    repeats every orbit exactly enough to cancel the group order and exists
-    only as a small-size cross-check.
-    """
-    if literal:
-        stabilizers = map(multiplicity_partition, enumerate_gamma(m, d))
-        weighted = ((stab, multiplicity_factorial(stab)) for stab in stabilizers)
-    else:
-        weighted = orbit_type_counts(m, d).items()
+    exponent-vector stabilizers: the sum, over the orbit types of
+    Gamma(m, d), of the orbit count times the character induced from the
+    type's Young subgroup."""
     classes = _cycle_types(m)
     totals = [0] * len(classes)
-    for shape, weight in weighted:
+    for shape, count in orbit_type_counts(m, d).items():
         induced = induced_trivial_character(shape)
         for i, lam in enumerate(classes):
-            totals[i] += weight * induced.values[lam]
-    out = ClassFunction(m, dict(zip(classes, totals)))
-    return out.scale(Fraction(1, math.factorial(m))) if literal else out
+            totals[i] += count * induced.values[lam]
+    return ClassFunction(m, dict(zip(classes, totals)))
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:

@@ -14,8 +14,7 @@ surface; ``DimensionReport.checks`` lists each of those checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .characters import (
     _row,
@@ -23,6 +22,7 @@ from .characters import (
     irreducible_class_function,
     restricted_trivial_inner_product,
 )
+from .config import Record
 from .denumerant import denumerant_class_function, denumerant_decomposition
 from .errors import ConsistencyError
 from .partitions import (
@@ -90,27 +90,30 @@ def is_nonvanishing(
     """Whether the symmetrized space is non-zero: true exactly when some
     exponent vector has a multiplicity partition dominated by ``pi``.
     Returns the first witnessing orbit representative in reverse
-    lexicographic order, or None, streaming the representatives until then."""
+    lexicographic order, or None, streaming the representatives until then.
+
+    That happens exactly when d >= b(pi) = sum of (i - 1) * pi_i: the
+    multiplicity of chi^pi is the coefficient of q^(d - b(pi)) in a product
+    of 1 / (1 - q^h) over hook lengths h, one of which is 1.  Below b(pi)
+    the answer is returned without streaming."""
     pi = _check_args(m, d, pi)
+    if d < sum(i * part for i, part in enumerate(pi)):
+        return False, None
     for nu in _orbit_stream(m, d):
         if dominates(pi, _multiplicities(nu)):
             return True, nu
     return False, None
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Record):
     """All dimension routes for one (m, d, character) triple, validated to
     agree; the witness is present exactly when the dimension is positive."""
 
-    m: int
-    d: int
-    pi: Partition
-    dim_orbit_sum: int
-    dim_inner_product: int
-    dim_decomposition: int
-    nonvanishing_witness: ExponentVector | None
-    rank_dimension: int | None = None
+    # the witness and the rank may be None
+    __slots__ = (
+        "m", "d", "pi", *(f"dim_{name}" for name in ROUTES), "nonvanishing_witness", "rank_dimension"
+    )
+    _defaults = {"rank_dimension": None}
 
     @property
     def dimension(self) -> int:
@@ -153,12 +156,13 @@ def dimension_report(
     small sizes, the exact rank; raise if any of the report's checks fails."""
     pi = _check_args(m, d, pi)
     # by module-global name at call time, so a rebound ``dim_via_*`` is the one called
-    fields = {f"dim_{name}": globals()[f"dim_via_{name}"](m, d, pi) for name in ROUTES}
-    _, fields["nonvanishing_witness"] = is_nonvanishing(m, d, pi)
+    dims = [globals()[f"dim_via_{name}"](m, d, pi) for name in ROUTES]
+    _, witness = is_nonvanishing(m, d, pi)
+    rank = None
     if verify_rank and rank_verification_applies(m, d):
         spec = sn_character_spec(m, pi)
-        fields["rank_dimension"] = dimension_by_rank(spec.group, spec, d)
-    report = DimensionReport(m, d, pi, **fields)
+        rank = dimension_by_rank(spec.group, spec, d)
+    report = DimensionReport(m, d, pi, *dims, witness, rank)
     failed = [name for name, ok in report.checks() if not ok]
     if failed:
         raise ConsistencyError(f"checks failed: {'; '.join(failed)} ({report})")

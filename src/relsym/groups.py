@@ -10,7 +10,7 @@ iterate directly.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .config import check_cap, limits
 from .partitions import ExponentVector, Partition, _check_m_d, check_exponent_vector

@@ -10,9 +10,9 @@ nor the kernel.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
 
 from .errors import ConsistencyError
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from itertools import combinations_with_replacement, zip_longest
-from typing import Iterator, Sequence
 
 from .config import check_cap
 

@@ -15,11 +15,11 @@ example, the faithful characters of a cyclic group of order three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
 
 from .characters import _row
+from .config import Record
 from .denumerant import denumerant
 from .errors import ConsistencyError
 from .groups import (
@@ -124,14 +124,11 @@ def sn_character_spec(m: int, pi: Sequence[int]) -> CharacterSpec:
     return CharacterSpec.from_cycle_type_values(group, _row(pi))
 
 
-@dataclass(frozen=True)
-class SymmetrizedPolynomial:
+class SymmetrizedPolynomial(Record):
     """Exact rational coefficients over the monomial basis of one degree;
     zero coefficients are omitted and the zero polynomial is the empty map."""
 
-    m: int
-    d: int
-    coefficients: Mapping[ExponentVector, Fraction]
+    __slots__ = ("m", "d", "coefficients")  # coefficients: Mapping[ExponentVector, Fraction]
 
     def is_zero(self) -> bool:
         return not self.coefficients

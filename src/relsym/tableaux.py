@@ -16,18 +16,17 @@ which grows all shapes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache, partial
-from typing import Sequence
 
+from .config import Record
 from .partitions import Partition, _check_ints, check_partition
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A filling of a Young diagram, stored row by row."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)  # rows: tuple[tuple[int, ...], ...]
 
     @property
     def shape(self) -> Partition:

@@ -274,6 +274,24 @@ def coset_induced_trivial_values(mu, m):
     return values
 
 
+def literal_induced_class_function(m, d):
+    """The denumerant class function as the full average over Gamma(m, d):
+    1/m! times the sum, over every exponent vector, of its stabilizer order
+    times the permutation character on the cosets of that stabilizer, the
+    Young subgroup of its multiplicity type.  Every orbit is repeated just
+    often enough to cancel the group order."""
+    induced = {}
+    totals = Counter()
+    for vector in exponent_vectors(m, d):
+        mu = multiplicity_type(vector)
+        if mu not in induced:
+            induced[mu] = coset_induced_trivial_values(mu, m)
+        order = math.prod(math.factorial(k) for k in mu)
+        for lam, value in induced[mu].items():
+            totals[lam] += order * value
+    return {lam: Fraction(total, math.factorial(m)) for lam, total in totals.items()}
+
+
 def _class_representatives(m):
     reps = {}
     for p in symmetric_group_elements(m):

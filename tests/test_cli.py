@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +91,21 @@ def test_vanish(capsys):
     code, out, _ = run(capsys, "vanish", "--m", "3", "--d", "3", "--partition", "1,1,1")
     assert code == 0
     assert out.strip() == "non-vanishing (witness (2,1,0))"
+
+
+def test_vanish_below_b_answers_at_once():
+    # b(1^40) = 0 + 1 + ... + 39 = 780 > 400: the space vanishes, and the
+    # answer needs no orbit of Gamma(40, 400)
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["vanish", "--m", "40", "--d", "400", "--partition", ",".join(["1"] * 40)]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "relsym.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=25,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (0, "vanishes (no witness)\n", "")
+    assert elapsed < 1.0
 
 
 def test_symmetrize(capsys, tmp_path):
