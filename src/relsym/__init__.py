@@ -23,10 +23,12 @@ from .denumerant import (
     denumerant_by_induced_characters,
     denumerant_class_function,
     denumerant_decomposition,
+    hook_decomposition,
 )
 from .dimensions import (
     DimensionReport,
     dim_via_decomposition,
+    dim_via_hook_denumerant,
     dim_via_inner_product,
     dim_via_orbit_sum,
     dimension_report,
@@ -55,6 +57,6 @@ from .symmetrizer import (
     symmetrize_monomial,
     symmetrize_polynomial,
 )
-from .tableaux import Tableau, enumerate_ssyt, kostka
+from .tableaux import Tableau, enumerate_ssyt, hook_lengths, kostka
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .errors import ConsistencyError
 from .partitions import (
     Partition,
     _check_m_d,
+    _cycle_types,
     check_partition,
     class_size,
     enumerate_partitions,
@@ -72,12 +73,6 @@ def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:
     return _mn_value(pi, check_partition(lam, sum(pi)))
 
 
-@lru_cache(maxsize=None)
-def _cycle_types(m: int) -> tuple[Partition, ...]:
-    """The partitions of ``m``, enumerated once per ``m``."""
-    return tuple(enumerate_partitions(m))
-
-
 def _classes(m: int) -> tuple[Partition, ...]:
     """The classes of degree ``m``, once ``m`` is within the character cap."""
     _check_m_d(m)
@@ -106,7 +101,9 @@ class ClassFunction(Record):
     __slots__ = ("m", "values")  # values: Mapping[Partition, int | Fraction]
 
     def _validate(self) -> None:
-        if set(self.values) != set(_cycle_types(self.m)):
+        # no sets of the classes: at m = 36 two of them set qchar's peak memory
+        classes = _cycle_types(self.m)
+        if len(self.values) != len(classes) or not all(map(self.values.__contains__, classes)):
             raise ValueError(f"need a value for every cycle type of degree {self.m}")
 
     def __call__(self, lam: Sequence[int]) -> int | Fraction:

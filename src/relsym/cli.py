@@ -26,7 +26,7 @@ from .denumerant import (
     _denumerant_counts,
     denumerant,
     denumerant_class_function,
-    denumerant_decomposition,
+    hook_decomposition,
 )
 from .dimensions import (
     RANK_VERIFY_WINDOW, dimension_report, is_nonvanishing, rank_verification_applies
@@ -186,7 +186,7 @@ def _cmd_qchar(args) -> None:
 
 
 def _cmd_decompose(args) -> None:
-    decomposition = denumerant_decomposition(args.m, args.d)
+    decomposition = hook_decomposition(args.m, args.d)
     _emit_per_partition(args, decomposition, "multiplicities", ("partition", "multiplicity"))
 
 

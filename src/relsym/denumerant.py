@@ -9,6 +9,11 @@ ways: by dynamic programming over the coin values, as a sum of characters
 induced from the stabilizer Young subgroups (one per orbit type of exponent
 vectors), and through the irreducible multiplicities that sum gives.
 Agreement of all three is the package's central cross-check.
+
+The same equation with the hook lengths of a partition pi as coins gives
+those multiplicities directly, one coin DP per pi (``hook_decomposition``);
+the Kostka-weighted orbit types (``denumerant_decomposition``) are its
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from operator import mul
 
 from .characters import (
     ClassFunction,
-    _cycle_types,
     class_function_from_decomposition,  # re-exported: it expands denumerant_decomposition
     induced_trivial_character,
 )
@@ -27,10 +31,11 @@ from .partitions import (
     Partition,
     _check_ints,
     _check_m_d,
-    _partition_walk,
-    orbit_type_counts,
+    _cycle_types,
+    _orbit_types,
+    _walked_partitions,
 )
-from .tableaux import _kostka_column
+from .tableaux import _b, _hooks, _kostka_column
 
 CoinSystem = tuple[int, ...]
 
@@ -86,7 +91,8 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
         ones.append(list(accumulate(reversed(ones[-1])))[::-1])
     values = []
     stack = [[1] + [0] * d]  # stack[i]: the counts for the first i parts above 1
-    for changed, lam in _partition_walk(m, m):
+    classes, changes = _walked_partitions(m)
+    for changed, lam in zip(changes, classes):
         del stack[changed + 1:]
         for a in lam[len(stack) - 1:]:
             if a == 1:
@@ -95,9 +101,7 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
             _add_coin(counts, a)
             stack.append(counts)
         values.append(sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1])))
-    # the walk visits the cycle types in their cached order; keying by the
-    # cached tuples keeps one copy of each partition alive, not two
-    return ClassFunction(m, dict(zip(_cycle_types(m), values, strict=True)))
+    return ClassFunction(m, dict(zip(classes, values, strict=True)))
 
 
 def denumerant_by_induced_characters(m: int, d: int) -> ClassFunction:
@@ -107,7 +111,7 @@ def denumerant_by_induced_characters(m: int, d: int) -> ClassFunction:
     type's Young subgroup."""
     classes = _cycle_types(m)
     totals = [0] * len(classes)
-    for shape, count in orbit_type_counts(m, d).items():
+    for shape, count in _orbit_types(m, d):
         induced = induced_trivial_character(shape)
         for i, lam in enumerate(classes):
             totals[i] += count * induced.values[lam]
@@ -120,8 +124,24 @@ def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
     their orbit counts."""
     _check_m_d(m, d)
     out = dict.fromkeys(_cycle_types(m), 0)
-    for shape, count in orbit_type_counts(m, d).items():
+    for shape, count in _orbit_types(m, d):
         for pi, k in _kostka_column(shape).items():
             out[pi] += count * k
     return out
 
+
+def _hook_multiplicity(pi: Partition, d: int) -> int:
+    """Multiplicity of chi^pi in the degree-d monomials, by the paper's
+    equation with the hook lengths of ``pi`` as coins: the coefficient of
+    q^d in s_pi(1, q, q^2, ...) = q^b(pi) / prod over cells (1 - q^hook),
+    so the denumerant of d - b(pi), and 0 below b(pi)."""
+    amount = d - _b(pi)
+    return denumerant(_hooks(pi), amount) if amount >= 0 else 0
+
+
+def hook_decomposition(m: int, d: int) -> dict[Partition, int]:
+    """The multiplicities of :func:`denumerant_decomposition` by
+    :func:`_hook_multiplicity`: one small coin DP per partition of m, and no
+    orbit, Kostka number or character value."""
+    _check_m_d(m, d)
+    return {pi: _hook_multiplicity(pi, d) for pi in _cycle_types(m)}

@@ -10,20 +10,25 @@ in report order: route ``name`` is ``dim_via_<name>`` and fills the report
 field ``dim_<name>``.  Their agreement, and agreement with the exact-rank
 construction in the symmetrizer module, is the package's main acceptance
 surface; ``DimensionReport.checks`` lists each of those checks.
+
+A fourth route, ``dim_via_hook_denumerant``, needs no character value: the
+multiplicity is a denumerant with the hook lengths of pi as coins.  It is
+not in ``ROUTES`` yet, so the report's fields are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from .characters import (
-    _row,
+    _classes,
     inner_product,
     irreducible_class_function,
     restricted_trivial_inner_product,
 )
 from .config import Record
-from .denumerant import denumerant_class_function, denumerant_decomposition
+from .denumerant import _hook_multiplicity, denumerant_class_function, denumerant_decomposition
 from .errors import ConsistencyError
 from .partitions import (
     ExponentVector,
@@ -31,25 +36,31 @@ from .partitions import (
     _check_m_d,
     _multiplicities,
     _orbit_stream,
+    _orbit_types,
     check_partition,
     dominates,
     gamma_size,
-    orbit_type_counts,
 )
 from .symmetrizer import dimension_by_rank, sn_character_spec
+from .tableaux import _b, _hooks
 
 ROUTES = ("orbit_sum", "inner_product", "decomposition")
 
 
 def _degree(pi: Partition) -> int:
-    """The degree of chi^pi, from its capped row: read before the orbit
-    types, so the cap binds before any route work."""
-    return _row(pi)[(1,) * sum(pi)]
+    """The degree f^pi of chi^pi by the hook length formula, m! / prod of
+    the hook lengths (Frame, Robinson and Thrall)."""
+    return math.factorial(sum(pi)) // math.prod(_hooks(pi))
 
 
-def _check_args(m: int, d: int, pi: Sequence[int]) -> Partition:
+def _check_args(m: int, d: int, pi: Sequence[int], character_cap: bool = True) -> Partition:
+    """The checks on (m, d) and pi, then, for a route that reads character
+    values, the character cap, before any of its work."""
     _check_m_d(m, d)
-    return check_partition(pi, m)
+    pi = check_partition(pi, m)
+    if character_cap:
+        _classes(m)
+    return pi
 
 
 def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
@@ -57,11 +68,10 @@ def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
     orbit counts, of the trivial-restriction multiplicity on the stabilizer.
     Types whose stabilizer admits no trivial constituent contribute 0."""
     pi = _check_args(m, d, pi)
-    degree = _degree(pi)
     total = 0
-    for shape, count in orbit_type_counts(m, d).items():
+    for shape, count in _orbit_types(m, d):
         total += count * restricted_trivial_inner_product(pi, shape)
-    return degree * total
+    return _degree(pi) * total
 
 
 def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:
@@ -84,6 +94,14 @@ def dim_via_decomposition(m: int, d: int, pi: Sequence[int]) -> int:
     return _degree(pi) * denumerant_decomposition(m, d)[pi]
 
 
+def dim_via_hook_denumerant(m: int, d: int, pi: Sequence[int]) -> int:
+    """Character degree times the multiplicity of the character by the
+    money-change equation with its hook lengths as coins.  It reads no
+    character value, so the character cap does not bind."""
+    pi = _check_args(m, d, pi, character_cap=False)
+    return _degree(pi) * _hook_multiplicity(pi, d)
+
+
 def is_nonvanishing(
     m: int, d: int, pi: Sequence[int]
 ) -> tuple[bool, ExponentVector | None]:
@@ -96,8 +114,8 @@ def is_nonvanishing(
     multiplicity of chi^pi is the coefficient of q^(d - b(pi)) in a product
     of 1 / (1 - q^h) over hook lengths h, one of which is 1.  Below b(pi)
     the answer is returned without streaming."""
-    pi = _check_args(m, d, pi)
-    if d < sum(i * part for i, part in enumerate(pi)):
+    pi = _check_args(m, d, pi, character_cap=False)
+    if d < _b(pi):
         return False, None
     for nu in _orbit_stream(m, d):
         if dominates(pi, _multiplicities(nu)):

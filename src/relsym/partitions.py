@@ -13,6 +13,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from itertools import combinations_with_replacement, zip_longest
 
 from .config import check_cap
@@ -129,6 +130,30 @@ def _partition_walk(n: int, max_len: int) -> Iterator[tuple[int, Partition]]:
             parts.append(r)
 
 
+@lru_cache(maxsize=None)
+def _walked_partitions(m: int) -> tuple[tuple[Partition, ...], bytearray]:
+    """The partitions of ``m`` in the order of :func:`_partition_walk`,
+    walked once per ``m``, and each one's first changed index, one byte
+    each: an index is below m, and no walk of m > 256 (p(257) > 10**14
+    partitions) could finish."""
+    if m < 0:
+        raise ValueError("cannot partition a negative integer")
+    changes = bytearray()
+
+    def parts() -> Iterator[Partition]:
+        # straight into the tuple: a list beside it would double the peak
+        for changed, p in _partition_walk(m, m):
+            changes.append(changed)
+            yield p
+
+    return tuple(parts()), changes
+
+
+def _cycle_types(m: int) -> tuple[Partition, ...]:
+    """The partitions of ``m``, enumerated once per ``m``."""
+    return _walked_partitions(m)[0]
+
+
 def enumerate_partitions(m: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of ``m`` in reverse-lexicographic order, starting at
     ``(m,)``.  ``max_length`` restricts the number of parts."""
@@ -190,10 +215,17 @@ def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
         yield p + (0,) * (m - len(p))
 
 
+@lru_cache(maxsize=None)
+def _orbit_types(m: int, d: int) -> tuple[tuple[Partition, int], ...]:
+    """The ``(type, count)`` pairs of :func:`orbit_type_counts`, streamed
+    once per (m, d) for every route that reads them."""
+    return tuple(Counter(map(_multiplicities, _orbit_stream(m, d))).items())
+
+
 def orbit_type_counts(m: int, d: int) -> Counter:
     """How many orbits of Gamma(m, d) have each multiplicity partition (orbit
     type), counted from the streamed representatives."""
-    return Counter(map(_multiplicities, _orbit_stream(m, d)))
+    return Counter(dict(_orbit_types(m, d)))
 
 
 def centralizer_order(lam: Partition) -> int:

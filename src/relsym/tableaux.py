@@ -131,6 +131,29 @@ def _kostka_column(pi: Partition) -> dict[Partition, int]:
     return {tuple(r for r in state if r): count for state, count in column.items()}
 
 
+def hook_lengths(pi: Sequence[int]) -> tuple[int, ...]:
+    """The hook length of every cell of the diagram of ``pi``, row by row:
+    the cell itself plus the cells to its right and below it."""
+    return _hooks(check_partition(pi))
+
+
+def _hooks(pi: Partition) -> tuple[int, ...]:
+    heights = [0] * (pi[0] if pi else 0)  # the column lengths
+    for part in pi:
+        for j in range(part):
+            heights[j] += 1
+    return tuple(
+        part - j + heights[j] - i - 1 for i, part in enumerate(pi) for j in range(part)
+    )
+
+
+def _b(pi: Partition) -> int:
+    """b(pi) = sum of (i - 1) * pi_i, the least entry sum of a semistandard
+    tableau of shape ``pi`` with entries from 0: the lowest degree in which
+    chi^pi occurs among the monomials."""
+    return sum(i * part for i, part in enumerate(pi))
+
+
 @lru_cache(maxsize=None)
 def _kostka_cached(mu: Partition, pi: Partition) -> int:
     return count_fillings(mu, pi)

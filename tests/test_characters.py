@@ -146,6 +146,17 @@ def test_induced_trivial_is_a_permutation_character(m):
         assert ind.values[identity] == math.factorial(m) // multiplicity_factorial(mu)
 
 
+@pytest.mark.parametrize("keys", [
+    [(3,), (2, 1)],
+    [(3,), (2, 1), (2, 2)],
+    [(3,), (2, 1), (1, 1, 1), (2, 2)],
+])
+def test_class_function_needs_exactly_the_cycle_types(keys):
+    with pytest.raises(ValueError, match="every cycle type of degree 3"):
+        ClassFunction(3, dict.fromkeys(keys, 1))
+    assert ClassFunction(3, dict.fromkeys([(1, 1, 1), (2, 1), (3,)], 1)) == trivial_character(3)
+
+
 def test_class_function_validation_and_arithmetic():
     with pytest.raises(ValueError):
         ClassFunction(3, {(3,): Fraction(1)})

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import hook_length_dimension
 import relsym.cli as cli
 from relsym.cli import main
 from relsym.denumerant import denumerant_class_function, denumerant_decomposition
@@ -106,6 +108,28 @@ def test_vanish_below_b_answers_at_once():
     elapsed = time.perf_counter() - start
     assert (done.returncode, done.stdout, done.stderr) == (0, "vanishes (no witness)\n", "")
     assert elapsed < 1.0
+
+
+def test_decompose_at_m_40_answers_in_seconds():
+    # p(40) = 37,338 coin DPs with hook lengths as coins; streaming the
+    # orbits and filling Kostka columns took about 14 s here
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "relsym.cli", "decompose", "--m", "40", "--d", "40"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=25,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (0, "")
+    assert elapsed < 2.0
+    rows = re.findall(r"\(([\d,]+)\): (\d+)", done.stdout)
+    assert len(rows) == 37338
+    # the trivial character: the 37,338 partitions of 40
+    assert rows[0] == ("40", "37338")
+    total = sum(
+        hook_length_dimension(tuple(map(int, p.split(",")))) * int(mult) for p, mult in rows
+    )
+    assert total == math.comb(79, 39)
 
 
 def test_symmetrize(capsys, tmp_path):
@@ -220,7 +244,7 @@ def test_consistency_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ConsistencyError("forced")
 
-    monkeypatch.setattr(cli, "denumerant_decomposition", boom)
+    monkeypatch.setattr(cli, "hook_decomposition", boom)
     code, _, err = run(capsys, "decompose", "--m", "3", "--d", "2")
     assert code == 3
     assert "internal consistency" in err

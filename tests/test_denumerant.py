@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     brute_force_denumerant,
     denumerant_series,
+    hook_length_dimension,
     literal_induced_class_function,
     prefix_walk_class_function,
     verify_trace_identity,
@@ -20,6 +21,7 @@ from relsym.denumerant import (
     denumerant_by_induced_characters,
     denumerant_class_function,
     denumerant_decomposition,
+    hook_decomposition,
 )
 from relsym.partitions import enumerate_partitions, gamma_size
 
@@ -205,3 +207,28 @@ def test_decomposition_shape(m, d):
 @given(coin_systems, st.integers(min_value=0, max_value=200))
 def test_counts_for_every_amount_equal_the_series(coins, d_max):
     assert _denumerant_counts(coins, d_max) == denumerant_series(coins, d_max)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_hook_decomposition_is_the_kostka_decomposition(m):
+    for d in range(13):
+        hooks = hook_decomposition(m, d)
+        assert list(hooks.items()) == list(denumerant_decomposition(m, d).items())
+
+
+@pytest.mark.parametrize("m,d", [(1, 0), (5, 0), (8, 30), (16, 30), (30, 12)])
+def test_hook_multiplicities_weighted_by_degrees_fill_gamma(m, d):
+    # sum over pi of f^pi * mult_pi = C(d + m - 1, m - 1)
+    total = sum(
+        hook_length_dimension(pi) * mult for pi, mult in hook_decomposition(m, d).items()
+    )
+    assert total == gamma_size(m, d)
+
+
+@pytest.mark.parametrize("m,d", [(0, 3), (3, -1), (0, -1)])
+def test_hook_decomposition_checks_like_the_kostka_route(m, d):
+    with pytest.raises(ValueError) as hooks:
+        hook_decomposition(m, d)
+    with pytest.raises(ValueError) as kostka:
+        denumerant_decomposition(m, d)
+    assert str(hooks.value) == str(kostka.value)

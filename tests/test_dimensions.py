@@ -5,10 +5,13 @@ import pytest
 
 from oracles import brute_force_witness
 import relsym.dimensions as dimensions
+import relsym.partitions as partitions
+from relsym.config import use_limits
 from relsym.dimensions import (
     ROUTES,
     DimensionReport,
     dim_via_decomposition,
+    dim_via_hook_denumerant,
     dim_via_inner_product,
     dim_via_orbit_sum,
     dimension_report,
@@ -199,3 +202,55 @@ def test_every_route_has_a_report_field():
     for name in ROUTES:
         assert f"dim_{name}" in fields
         assert callable(getattr(dimensions, f"dim_via_{name}"))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("d", range(0, 16))
+def test_hook_route_agrees_with_the_three_routes(m, d):
+    for pi in enumerate_partitions(m):
+        hook = dim_via_hook_denumerant(m, d, pi)
+        assert hook == dim_via_orbit_sum(m, d, pi)
+        assert hook == dim_via_inner_product(m, d, pi)
+        assert hook == dim_via_decomposition(m, d, pi)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("d", [0, 1, 7, 20])
+def test_hook_route_of_the_trivial_character_counts_partitions(m, d):
+    # the trivial character's space is spanned by the monomial symmetric
+    # functions: one per partition of d into at most m parts
+    assert dim_via_hook_denumerant(m, d, (m,)) == len(enumerate_partitions(d, m))
+
+
+def test_hook_route_reads_no_character_value():
+    # beyond the character cap, where the other routes refuse
+    with pytest.raises(ResourceLimitError):
+        dim_via_orbit_sum(13, 30, (7, 6))
+    hook = dim_via_hook_denumerant(13, 30, (7, 6))
+    with use_limits(max_character_table_m=13):
+        assert hook == dim_via_orbit_sum(13, 30, (7, 6)) > 0
+    start = time.perf_counter()
+    assert dim_via_hook_denumerant(40, 400, (40,)) > 0
+    assert time.perf_counter() - start < 1
+
+
+def test_hook_route_validates_like_the_others():
+    with pytest.raises(ValueError):
+        dim_via_hook_denumerant(4, 2, (2, 1))
+    with pytest.raises(ValueError):
+        dim_via_hook_denumerant(3, -1, (2, 1))
+    assert dim_via_hook_denumerant(3, 2, (1, 1, 1)) == 0
+
+
+def test_one_report_counts_the_orbit_types_from_one_stream(monkeypatch):
+    streams = []
+    stream = partitions._orbit_stream
+
+    def counting(m, d):
+        streams.append((m, d))
+        return stream(m, d)
+
+    monkeypatch.setattr(partitions, "_orbit_stream", counting)
+    partitions._orbit_types.cache_clear()
+    dimension_report(7, 9, (4, 2, 1))
+    assert streams == [(7, 9)]

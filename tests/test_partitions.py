@@ -10,7 +10,10 @@ from relsym.config import use_limits
 from relsym.denumerant import denumerant
 from relsym.errors import ResourceLimitError
 from relsym.partitions import (
+    _cycle_types,
+    _orbit_types,
     _partition_walk,
+    _walked_partitions,
     check_partition,
     class_size,
     dominates,
@@ -240,3 +243,28 @@ def test_enumerate_gamma_takes_many_variables():
 def test_enumerate_gamma_is_the_filtered_product(m, d):
     expected = [v for v in itertools.product(range(d + 1), repeat=m) if sum(v) == d]
     assert enumerate_gamma(m, d) == expected
+
+
+@pytest.mark.parametrize("m", range(0, 16))
+def test_walked_partitions_are_the_walk_in_one_pass(m):
+    parts, changes = _walked_partitions(m)
+    assert list(zip(changes, parts)) == list(_partition_walk(m, m))
+    assert isinstance(changes, bytearray)
+    assert _cycle_types(m) is parts
+    assert list(parts) == enumerate_partitions(m)
+
+
+def test_walked_partitions_refuse_a_negative_integer():
+    with pytest.raises(ValueError):
+        _cycle_types(-1)
+
+
+@pytest.mark.parametrize("m,d", [(1, 0), (4, 6), (7, 9), (12, 28)])
+def test_orbit_types_are_cached_and_the_counts_are_fresh(m, d):
+    types = _orbit_types(m, d)
+    assert _orbit_types(m, d) is types
+    assert isinstance(types, tuple) and all(isinstance(pair, tuple) for pair in types)
+    counts = orbit_type_counts(m, d)
+    assert list(counts.items()) == list(types)
+    counts[(m,)] += 1
+    assert orbit_type_counts(m, d) == dict(types)

@@ -5,7 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_kostka, hook_length_dimension
 from relsym.partitions import dominates, enumerate_partitions, multiplicity_factorial
-from relsym.tableaux import Tableau, _kostka_column, count_fillings, enumerate_ssyt, kostka
+from relsym.characters import _mn_value
+from relsym.tableaux import (
+    Tableau,
+    _b,
+    _kostka_column,
+    count_fillings,
+    enumerate_ssyt,
+    hook_lengths,
+    kostka,
+)
 
 
 def test_kostka_diagonal_is_one():
@@ -122,3 +131,42 @@ def test_tableau_entry_access():
 
 def test_enumerate_ssyt_takes_many_values():
     assert len(enumerate_ssyt((1000,), (1,) * 1000)) == 1
+
+
+def _hooks_by_counting(pi):
+    cells = {(i, j) for i, part in enumerate(pi) for j in range(part)}
+    return tuple(
+        1 + sum(1 for (r, c) in cells if (r == i and c > j) or (c == j and r > i))
+        for i, part in enumerate(pi)
+        for j in range(part)
+    )
+
+
+def test_hook_length_examples():
+    assert hook_lengths((3, 2, 1)) == (5, 3, 1, 3, 1, 1)
+    assert hook_lengths([4]) == (4, 3, 2, 1)
+    assert hook_lengths(()) == ()
+    with pytest.raises(ValueError):
+        hook_lengths((1, 2))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_hook_lengths_count_arm_leg_and_cell(m):
+    for pi in enumerate_partitions(m):
+        hooks = hook_lengths(pi)
+        assert hooks == _hooks_by_counting(pi)
+        # Frame-Robinson-Thrall: the degree of chi^pi, here from its character value
+        assert math.factorial(m) // math.prod(hooks) == _mn_value(pi, (1,) * m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_b_is_the_least_entry_sum_of_a_tableau_from_zero(m):
+    # over the semistandard tableaux of shape pi with a partition as content,
+    # every entry lowered by 1
+    for pi in enumerate_partitions(m):
+        least = min(
+            sum(tableau.reading_word()) - m
+            for content in enumerate_partitions(m)
+            for tableau in enumerate_ssyt(pi, content)
+        )
+        assert _b(pi) == least
