@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -65,10 +65,9 @@ def _format_partition(p: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
 
 
-def _json_value(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return v
+def _fraction(v: Fraction) -> int | str:
+    # the encoder's fallback for the one non-JSON type a result holds
+    return int(v) if v.denominator == 1 else str(v)
 
 
 _JSON_BATCH = 4096  # encoder chunks joined per write
@@ -77,95 +76,51 @@ _JSON_BATCH = 4096  # encoder chunks joined per write
 _ROW_BATCH = 256
 
 
-def _json_scalar(v: str | bool | int) -> str:
-    # the indenting encoder's text, without it: json.dumps sends a string
-    # straight to its escaper
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return int.__repr__(v)
-
-
-def _json_container(brackets: str, items: list[str], indent: str) -> str:
-    # rendered items one per line, one level below ``indent``
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
-
-
-def _write_envelope(command: str, inputs: dict, cross_checks, result: Iterable[str]) -> None:
-    """Write the envelope as ``print(json.dumps(envelope, indent=2,
-    sort_keys=True))`` would, with ``result`` already rendered one level in,
-    without holding the whole string.  ``command``, ``cross_checks`` and
-    ``inputs`` sort before ``result``; the inputs are scalars or flat lists
-    of them, and each cross-check is a ``[name, passed]`` pair."""
-
-    def value(v, indent: str) -> str:
-        if isinstance(v, list):
-            return _json_container("[]", [_json_scalar(x) for x in v], indent)
-        return _json_scalar(v)
-
-    checks = [value([name, bool(ok)], "    ") for name, ok in cross_checks]
-    fields = [f"{_json_scalar(k)}: {value(inputs[k], '    ')}" for k in sorted(inputs)]
-    write = sys.stdout.write
-    write(
-        f'{{\n  "command": {_json_scalar(command)},\n'
-        f'  "cross_checks": {_json_container("[]", checks, "  ")},\n'
-        f'  "inputs": {_json_container("{}", fields, "  ")},\n'
-        '  "result": '
-    )
-    for text in result:
-        write(text)
-    write("\n}\n")
-
-
-def _encoded(value) -> Iterator[str]:
-    # the indenting encoder's chunks in batches, one level in; JSON strings
-    # escape their newlines, so every newline here starts an indent
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(value)
-    while batch := list(islice(chunks, _JSON_BATCH)):
-        yield "".join(batch).replace("\n", "\n  ")
-
-
 def _emit(
     args, inputs: dict, result: Callable[[], object], text: Callable[[], str], cross_checks=()
 ) -> None:
     """Print the JSON envelope under ``--json``, else the text; only the one
-    printed is built.  The ``result`` goes through the indenting encoder and
+    printed is built.  The envelope goes through the indenting encoder and
     is streamed in batches of its chunks."""
-    if args.json:
-        _write_envelope(args.command, inputs, cross_checks, _encoded(result()))
-    else:
+    if not args.json:
         print(text())
+        return
+    envelope = {
+        "command": args.command,
+        "cross_checks": cross_checks,
+        "inputs": inputs,
+        "result": result(),
+    }
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=_fraction).iterencode(envelope)
+    while batch := list(islice(chunks, _JSON_BATCH)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
-def _partition_rows(values, key: str, names: tuple[str, str]) -> Iterator[str]:
-    # ``{key: [{names[0]: list(p), names[1]: int(v)}, ...]}`` one level in,
-    # each row filled into one template in sorted key order; ``values`` has
-    # a row per partition of m >= 1, so neither it nor any row's list is empty
+def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
+    """One row per partition ``p`` in ``values``, in its order: ``p`` and its
+    integer ``values[p]``, keyed by ``names``.  Under ``--json`` the envelope
+    is written as the indenting encoder would print it, without it: a fixed
+    head and tail, and each row filled into one text template in sorted key
+    order.  ``values`` has a row per partition of m >= 1, so neither it nor
+    any row's list is empty."""
+    if not args.json:
+        print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items()))
+        return
     slots = {names[0]: "[\n          %(p)s\n        ]", names[1]: "%(v)d"}
     row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
     row += "\n      }"
     sep = ",\n          "
     rows = (row % {"p": sep.join(map(str, p)), "v": int(v)} for p, v in values.items())
-    yield "{\n    " + _json_scalar(key) + ": [\n" + ",\n".join(islice(rows, _ROW_BATCH))
+    write = sys.stdout.write
+    write(
+        f'{{\n  "command": "{args.command}",\n  "cross_checks": [],\n'
+        f'  "inputs": {{\n    "d": {args.d},\n    "m": {args.m}\n  }},\n'
+        f'  "result": {{\n    "{key}": [\n' + ",\n".join(islice(rows, _ROW_BATCH))
+    )
     while batch := list(islice(rows, _ROW_BATCH)):
-        yield ",\n" + ",\n".join(batch)
-    yield "\n    ]\n  }"
-
-
-def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
-    """One row per partition ``p`` in ``values``, in its order: ``p`` and its
-    integer ``values[p]``, keyed by ``names``.  Under ``--json`` each row is
-    filled into one text template, in the bytes the indenting encoder would
-    print for it."""
-    if args.json:
-        inputs = {"m": args.m, "d": args.d}
-        _write_envelope(args.command, inputs, (), _partition_rows(values, key, names))
-    else:
-        print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items()))
+        write(",\n" + ",\n".join(batch))
+    write("\n    ]\n  }\n}\n")
 
 
 def _cmd_denumerant(args) -> None:
@@ -303,10 +258,9 @@ def _cmd_symmetrize(args) -> None:
     lines.append(f"norm_squared: {norm}")
     result = {
         "coefficients": [
-            {"exponent": list(beta), "coefficient": _json_value(coeff)}
-            for beta, coeff in ordered
+            {"exponent": list(beta), "coefficient": coeff} for beta, coeff in ordered
         ],
-        "norm_squared": _json_value(norm),
+        "norm_squared": norm,
     }
     inputs = {"generators": args.generators, "character": args.character, "alpha": list(alpha)}
     _emit(args, inputs, lambda: result, lambda: "\n".join(lines))

@@ -34,11 +34,8 @@ from .partitions import (
     ExponentVector,
     Partition,
     _check_m_d,
-    _multiplicities,
-    _orbit_stream,
     _orbit_types,
     check_partition,
-    dominates,
     gamma_size,
 )
 from .symmetrizer import dimension_by_rank, sn_character_spec
@@ -105,22 +102,22 @@ def dim_via_hook_denumerant(m: int, d: int, pi: Sequence[int]) -> int:
 def is_nonvanishing(
     m: int, d: int, pi: Sequence[int]
 ) -> tuple[bool, ExponentVector | None]:
-    """Whether the symmetrized space is non-zero: true exactly when some
-    exponent vector has a multiplicity partition dominated by ``pi``.
-    Returns the first witnessing orbit representative in reverse
-    lexicographic order, or None, streaming the representatives until then.
+    """Whether the symmetrized space is non-zero, with a witness: the first
+    exponent vector in reverse lexicographic order whose multiplicity
+    partition is dominated by ``pi``, or None.
 
     That happens exactly when d >= b(pi) = sum of (i - 1) * pi_i: the
     multiplicity of chi^pi is the coefficient of q^(d - b(pi)) in a product
-    of 1 / (1 - q^h) over hook lengths h, one of which is 1.  Below b(pi)
-    the answer is returned without streaming."""
+    of 1 / (1 - q^h) over hook lengths h, one of which is 1.  The witness is
+    built, not searched for: value i - 1 repeated pi_i times, in decreasing
+    order, with the surplus d - b(pi) added to the first entry."""
     pi = _check_args(m, d, pi, character_cap=False)
-    if d < _b(pi):
+    surplus = d - _b(pi)
+    if surplus < 0:
         return False, None
-    for nu in _orbit_stream(m, d):
-        if dominates(pi, _multiplicities(nu)):
-            return True, nu
-    return False, None
+    witness = [i for i in reversed(range(len(pi))) for _ in range(pi[i])]
+    witness[0] += surplus
+    return True, tuple(witness)
 
 
 class DimensionReport(Record):

@@ -110,6 +110,26 @@ def test_vanish_below_b_answers_at_once():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("m, d, witness", [
+    (20, 120, "39,9,8,8,7,7,6,6,5,5,4,4,3,3,2,2,1,1,0,0"),
+    (40, 400, "39,19," + ",".join(f"{v},{v}" for v in range(18, -1, -1))),
+])
+def test_vanish_above_b_answers_at_once(m, d, witness):
+    # b(2^(m/2)) = 2 * (0 + 1 + ... + (m/2 - 1)) <= d: the witness is built
+    # from pi; the first witnessing orbit lies far down the reverse-lex order
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["vanish", "--m", str(m), "--d", str(d), "--partition", ",".join(["2"] * (m // 2))]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "relsym.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=25,
+    )
+    elapsed = time.perf_counter() - start
+    expected = f"non-vanishing (witness ({witness}))\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    assert elapsed < 2.0
+
+
 def test_decompose_at_m_40_answers_in_seconds():
     # p(40) = 37,338 coin DPs with hook lengths as coins; streaming the
     # orbits and filling Kostka columns took about 14 s here
@@ -360,11 +380,20 @@ def test_json_round_trip(capsys, argv):
 
 
 def test_streamed_envelope_is_the_one_shot_dump(capsys):
+    # qchar's rows come from a template in batches of rows; denumerant's
+    # series goes through the encoder in batches of its chunks.  Each is long
+    # enough that its envelope goes out in more than one batch.
     code, out, err = run(capsys, "qchar", "--m", "24", "--d", "24", "--json")
     assert (code, err) == (0, "")
     envelope = json.loads(out)
     assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    # long enough that the envelope goes out in more than one batch
+    assert len(envelope["result"]["classes"]) > cli._ROW_BATCH
+    argv = ("denumerant", "--coins", "1", "--amount", "5000", "--series", "--json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    envelope = json.loads(out)
+    assert envelope["result"]["series"] == [1] * 5001
+    assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
     assert sum(1 for _ in chunks) > cli._JSON_BATCH
 
