@@ -17,25 +17,11 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from itertools import islice
 
-from . import config
-from .characters import character_table, irreducible_character_value
-from .denumerant import (
-    _denumerant_counts,
-    denumerant,
-    denumerant_class_function,
-    hook_decomposition,
-)
-from .dimensions import (
-    RANK_VERIFY_WINDOW, dimension_report, is_nonvanishing, rank_verification_applies
-)
-from .errors import ConsistencyError, ResourceLimitError
-from .groups import PermutationGroup, parse_generators, parse_permutation
-from .partitions import check_exponent_vector
-from .symmetrizer import CharacterSpec, norm_squared, symmetrize_monomial
-from .tableaux import count_fillings
+# layers run on first use (see the package docstring): main reads these two
+# only when it needs them, and each handler imports the layers it calls
+from . import config, errors
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -65,8 +51,8 @@ def _format_partition(p: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
 
 
-def _fraction(v: Fraction) -> int | str:
-    # the encoder's fallback for the one non-JSON type a result holds
+def _fraction(v) -> int | str:
+    # the encoder's fallback for the one non-JSON type a result holds: Fraction
     return int(v) if v.denominator == 1 else str(v)
 
 
@@ -124,6 +110,7 @@ def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
 
 
 def _cmd_denumerant(args) -> None:
+    from .denumerant import _denumerant_counts, denumerant
     coins = _parse_ints(args.coins, "--coins")
     if args.series:
         values = _denumerant_counts(coins, args.amount)
@@ -136,16 +123,19 @@ def _cmd_denumerant(args) -> None:
 
 
 def _cmd_qchar(args) -> None:
+    from .denumerant import denumerant_class_function
     cf = denumerant_class_function(args.m, args.d)
     _emit_per_partition(args, cf.values, "classes", ("cycle_type", "value"))
 
 
 def _cmd_decompose(args) -> None:
+    from .denumerant import hook_decomposition
     decomposition = hook_decomposition(args.m, args.d)
     _emit_per_partition(args, decomposition, "multiplicities", ("partition", "multiplicity"))
 
 
 def _cmd_kostka(args) -> None:
+    from .tableaux import count_fillings
     shape = _parse_ints(args.shape, "--shape")
     content = _parse_ints(args.content, "--content")
     value = count_fillings(shape, content)
@@ -154,6 +144,7 @@ def _cmd_kostka(args) -> None:
 
 
 def _cmd_character(args) -> None:
+    from .characters import character_table, irreducible_character_value
     if args.table is not None:
         table = character_table(args.table)
 
@@ -183,6 +174,7 @@ def _cmd_character(args) -> None:
 
 
 def _cmd_dim(args) -> None:
+    from .dimensions import RANK_VERIFY_WINDOW, dimension_report, rank_verification_applies
     pi = _parse_ints(args.partition, "--partition")
     report = dimension_report(args.m, args.d, pi, verify_rank=args.verify)
     if args.verify and not rank_verification_applies(args.m, args.d):
@@ -205,6 +197,7 @@ def _cmd_dim(args) -> None:
 
 
 def _cmd_vanish(args) -> None:
+    from .dimensions import is_nonvanishing
     pi = _parse_ints(args.partition, "--partition")
     nonzero, witness = is_nonvanishing(args.m, args.d, pi)
     if nonzero:
@@ -228,6 +221,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
     """A character file maps class representatives in cycle notation to
     integer values, e.g. {"()": 2, "(1 2)": 0, "(1 2 3)": -1}."""
+    from .groups import parse_permutation
+    from .symmetrizer import CharacterSpec
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
@@ -244,6 +239,9 @@ def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
 
 
 def _cmd_symmetrize(args) -> None:
+    from .groups import PermutationGroup, parse_generators
+    from .partitions import check_exponent_vector
+    from .symmetrizer import norm_squared, symmetrize_monomial
     alpha = check_exponent_vector(_parse_ints(args.alpha, "--alpha"))
     m = len(alpha)
     generators = parse_generators(args.generators, m)
@@ -342,10 +340,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ResourceLimitError as exc:
+    except errors.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except errors.ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
 

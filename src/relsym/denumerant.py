@@ -22,11 +22,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from operator import mul
 
-from .characters import (
-    ClassFunction,
-    class_function_from_decomposition,  # re-exported: it expands denumerant_decomposition
-    induced_trivial_character,
-)
+from . import characters  # runs on first use: only where a class function is built
 from .partitions import (
     Partition,
     _check_ints,
@@ -38,6 +34,13 @@ from .partitions import (
 from .tableaux import _b, _hooks, _kostka_column
 
 CoinSystem = tuple[int, ...]
+
+
+def __getattr__(name):
+    # re-exported from characters: it expands denumerant_decomposition
+    if name == "class_function_from_decomposition":
+        return characters.class_function_from_decomposition
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def check_coins(coins: Sequence[int]) -> CoinSystem:
@@ -101,7 +104,7 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
             _add_coin(counts, a)
             stack.append(counts)
         values.append(sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1])))
-    return ClassFunction(m, dict(zip(classes, values, strict=True)))
+    return characters.ClassFunction(m, dict(zip(classes, values, strict=True)))
 
 
 def denumerant_by_induced_characters(m: int, d: int) -> ClassFunction:
@@ -112,10 +115,10 @@ def denumerant_by_induced_characters(m: int, d: int) -> ClassFunction:
     classes = _cycle_types(m)
     totals = [0] * len(classes)
     for shape, count in _orbit_types(m, d):
-        induced = induced_trivial_character(shape)
+        induced = characters.induced_trivial_character(shape)
         for i, lam in enumerate(classes):
             totals[i] += count * induced.values[lam]
-    return ClassFunction(m, dict(zip(classes, totals)))
+    return characters.ClassFunction(m, dict(zip(classes, totals)))
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:

@@ -19,16 +19,11 @@ not in ``ROUTES`` yet, so the report's fields are unchanged.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
-from .characters import (
-    _classes,
-    inner_product,
-    irreducible_class_function,
-    restricted_trivial_inner_product,
-)
+from . import characters, symmetrizer  # run on first use: vanish runs neither
 from .config import Record
-from .denumerant import _hook_multiplicity, denumerant_class_function, denumerant_decomposition
 from .errors import ConsistencyError
 from .partitions import (
     ExponentVector,
@@ -38,8 +33,11 @@ from .partitions import (
     check_partition,
     gamma_size,
 )
-from .symmetrizer import dimension_by_rank, sn_character_spec
 from .tableaux import _b, _hooks
+
+# the denumerant layer, also run on first use; ``relsym.denumerant`` is the
+# function of that name, not the layer
+_denumerant = sys.modules[f"{__package__}.denumerant"]
 
 ROUTES = ("orbit_sum", "inner_product", "decomposition")
 
@@ -56,7 +54,7 @@ def _check_args(m: int, d: int, pi: Sequence[int], character_cap: bool = True) -
     _check_m_d(m, d)
     pi = check_partition(pi, m)
     if character_cap:
-        _classes(m)
+        characters._classes(m)
     return pi
 
 
@@ -67,7 +65,7 @@ def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
     pi = _check_args(m, d, pi)
     total = 0
     for shape, count in _orbit_types(m, d):
-        total += count * restricted_trivial_inner_product(pi, shape)
+        total += count * characters.restricted_trivial_inner_product(pi, shape)
     return _degree(pi) * total
 
 
@@ -75,7 +73,9 @@ def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the inner product of the character with the
     solution-count class function."""
     pi = _check_args(m, d, pi)
-    pairing = inner_product(irreducible_class_function(pi), denumerant_class_function(m, d))
+    pairing = characters.inner_product(
+        characters.irreducible_class_function(pi), _denumerant.denumerant_class_function(m, d)
+    )
     if pairing.denominator != 1 or pairing < 0:
         raise ConsistencyError(
             f"inner product with the solution-count character is not a "
@@ -88,7 +88,7 @@ def dim_via_decomposition(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the multiplicity of the character in the
     irreducible decomposition of the solution-count class function."""
     pi = _check_args(m, d, pi)
-    return _degree(pi) * denumerant_decomposition(m, d)[pi]
+    return _degree(pi) * _denumerant.denumerant_decomposition(m, d)[pi]
 
 
 def dim_via_hook_denumerant(m: int, d: int, pi: Sequence[int]) -> int:
@@ -96,7 +96,7 @@ def dim_via_hook_denumerant(m: int, d: int, pi: Sequence[int]) -> int:
     money-change equation with its hook lengths as coins.  It reads no
     character value, so the character cap does not bind."""
     pi = _check_args(m, d, pi, character_cap=False)
-    return _degree(pi) * _hook_multiplicity(pi, d)
+    return _degree(pi) * _denumerant._hook_multiplicity(pi, d)
 
 
 def is_nonvanishing(
@@ -175,8 +175,8 @@ def dimension_report(
     _, witness = is_nonvanishing(m, d, pi)
     rank = None
     if verify_rank and rank_verification_applies(m, d):
-        spec = sn_character_spec(m, pi)
-        rank = dimension_by_rank(spec.group, spec, d)
+        spec = symmetrizer.sn_character_spec(m, pi)
+        rank = symmetrizer.dimension_by_rank(spec.group, spec, d)
     report = DimensionReport(m, d, pi, *dims, witness, rank)
     failed = [name for name, ok in report.checks() if not ok]
     if failed:

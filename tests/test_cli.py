@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import hook_length_dimension
 import relsym.cli as cli
+import relsym.dimensions as dimensions
 from relsym.cli import main
 from relsym.denumerant import denumerant_class_function, denumerant_decomposition
 from relsym.partitions import enumerate_gamma
@@ -258,13 +260,14 @@ def test_resource_exit_code(capsys):
 
 
 def test_consistency_exit_code(capsys, monkeypatch):
-    import relsym.cli as cli
     from relsym.errors import ConsistencyError
 
     def boom(*args, **kwargs):
         raise ConsistencyError("forced")
 
-    monkeypatch.setattr(cli, "hook_decomposition", boom)
+    # the handler imports it from its layer when it runs; ``relsym.denumerant``
+    # is the function, so the layer is taken from the import system
+    monkeypatch.setattr(importlib.import_module("relsym.denumerant"), "hook_decomposition", boom)
     code, _, err = run(capsys, "decompose", "--m", "3", "--d", "2")
     assert code == 3
     assert "internal consistency" in err
@@ -337,7 +340,7 @@ def test_cli_caps_stay_in_their_thread(capsys, monkeypatch):
         release.wait(10)
         return enumerate_gamma(3, 2)  # over this thread's cap of 2
 
-    monkeypatch.setattr(cli, "dimension_report", blocking_report)
+    monkeypatch.setattr(dimensions, "dimension_report", blocking_report)
     codes = []
     worker = threading.Thread(
         target=lambda: codes.append(

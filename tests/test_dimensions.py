@@ -6,6 +6,7 @@ import pytest
 from oracles import brute_force_witness
 import relsym.dimensions as dimensions
 import relsym.partitions as partitions
+import relsym.symmetrizer as symmetrizer
 from relsym.config import use_limits
 from relsym.dimensions import (
     ROUTES,
@@ -179,7 +180,7 @@ def test_report_names_a_missing_witness(monkeypatch):
 
 
 def test_report_names_a_wrong_rank(monkeypatch):
-    monkeypatch.setattr(dimensions, "dimension_by_rank", lambda group, spec, d: 99)
+    monkeypatch.setattr(symmetrizer, "dimension_by_rank", lambda group, spec, d: 99)
     _assert_report_fails(["rank equals formulas"])
 
 
