@@ -26,7 +26,7 @@ _EXPORTS = tuple(
     for layer, names in (
         ("characters", "ClassFunction character_table induced_trivial_character inner_product"
          " irreducible_character_value irreducible_class_function"
-         " restricted_trivial_inner_product trivial_character"),
+         " restricted_trivial_inner_product"),
         ("config", "limits use_limits"),
         ("denumerant", "denumerant denumerant_by_induced_characters denumerant_class_function"
          " denumerant_decomposition hook_decomposition"),
@@ -39,9 +39,8 @@ _EXPORTS = tuple(
          " multiplicity_factorial multiplicity_partition orbit_representatives"
          " orbit_type_counts"),
         ("symmetrizer", "CharacterSpec SymmetrizedPolynomial dimension_by_character_sum"
-         " dimension_by_rank norm_squared sn_character_spec symmetrize_monomial"
-         " symmetrize_polynomial"),
-        ("tableaux", "Tableau enumerate_ssyt hook_lengths kostka"),
+         " dimension_by_rank norm_squared sn_character_spec symmetrize_monomial"),
+        ("tableaux", "hook_lengths kostka"),
     )
     for name in names.split()
 )

@@ -109,20 +109,6 @@ class ClassFunction(Record):
     def __call__(self, lam: Sequence[int]) -> int | Fraction:
         return self.values[check_partition(lam)]
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.m != other.m:
-            raise ValueError("cannot add class functions of different degrees")
-        return ClassFunction(
-            self.m, {lam: v + other.values[lam] for lam, v in self.values.items()}
-        )
-
-    def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
-        return ClassFunction(self.m, {lam: c * v for lam, v in self.values.items()})
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values.values())
-
 
 def class_function_from_decomposition(
     m: int, multiplicities: Mapping[Partition, int]
@@ -205,7 +191,3 @@ def induced_trivial_character(mu: Sequence[int]) -> ClassFunction:
     mu = check_partition(mu)
     _classes(sum(mu))  # m >= 1 and the cap, before the Kostka column's work
     return class_function_from_decomposition(sum(mu), _kostka_column(mu))
-
-
-def trivial_character(m: int) -> ClassFunction:
-    return ClassFunction(m, dict.fromkeys(_cycle_types(m), 1))

@@ -146,6 +146,8 @@ def _cmd_kostka(args) -> None:
 def _cmd_character(args) -> None:
     from .characters import character_table, irreducible_character_value
     if args.table is not None:
+        if args.partition is not None or args.cls is not None:
+            raise ValueError("--table takes neither --partition nor --class")
         table = character_table(args.table)
 
         def result():
@@ -336,6 +338,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             caps["max_group_order"] = _env_int(config.MAX_ELEMENTS_ENV)
         with config.use_limits(**{k: v for k, v in caps.items() if v is not None}):
             args.func(args)
+            sys.stdout.flush()  # so that a closed pipe is caught here, not at exit
+        return 0
+    except BrokenPipeError:
+        # the reader closed the pipe, which is not bad input; what is still
+        # buffered then goes to the null device, so the last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,13 +36,6 @@ from .tableaux import _b, _hooks, _kostka_column
 CoinSystem = tuple[int, ...]
 
 
-def __getattr__(name):
-    # re-exported from characters: it expands denumerant_decomposition
-    if name == "class_function_from_decomposition":
-        return characters.class_function_from_decomposition
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def check_coins(coins: Sequence[int]) -> CoinSystem:
     out = _check_ints(coins, "coin")
     if not out:

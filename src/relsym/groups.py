@@ -193,7 +193,3 @@ class PermutationGroup:
         alpha = check_exponent_vector(alpha, self.m)
         fixed = [g for g in self.elements if apply_to_exponents(g, alpha) == alpha]
         return PermutationGroup(fixed, self.m)
-
-    def orbit(self, alpha: Sequence[int]) -> set[ExponentVector]:
-        alpha = tuple(alpha)
-        return {apply_to_exponents(g, alpha) for g in self.elements}

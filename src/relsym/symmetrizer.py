@@ -30,7 +30,6 @@ from .groups import (
     identity_permutation,
     inverse,
 )
-from .irreducibles import integer_irreducible_characters
 from .linalg import rank
 from .partitions import (
     ExponentVector,
@@ -108,9 +107,6 @@ class CharacterSpec:
         values = {g: type_values[cycle_type(g)] for g in group.elements}
         return cls(group, values)
 
-    def value(self, g: Permutation) -> int:
-        return self._by_element[g]
-
     def items(self):
         """``(element, value)`` pairs in the group's element order."""
         return self._by_element.items()
@@ -130,9 +126,6 @@ class SymmetrizedPolynomial(Record):
 
     __slots__ = ("m", "d", "coefficients")  # coefficients: Mapping[ExponentVector, Fraction]
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def norm_squared(self) -> Fraction:
         return sum((c * c for c in self.coefficients.values()), Fraction(0))
 
@@ -140,23 +133,6 @@ class SymmetrizedPolynomial(Record):
 def _check_group(group: PermutationGroup, chi: CharacterSpec) -> None:
     if group.elements != chi.group.elements:
         raise ValueError("the character is not a character of the given group")
-
-
-def _symmetrize_terms(
-    group: PermutationGroup,
-    chi: CharacterSpec,
-    terms: Mapping[ExponentVector, Fraction],
-) -> dict[ExponentVector, Fraction]:
-    _check_group(group, chi)
-    out: dict[ExponentVector, Fraction] = {}
-    for alpha, coeff in terms.items():
-        for g, value in chi.items():
-            if value == 0:
-                continue
-            beta = apply_to_exponents(g, alpha)
-            out[beta] = out.get(beta, Fraction(0)) + coeff * value
-    scale = Fraction(chi.degree, group.order)
-    return {beta: c * scale for beta, c in out.items() if c != 0}
 
 
 def symmetrize_monomial(
@@ -167,17 +143,15 @@ def symmetrize_monomial(
     degree / order times the character sum over the permutations carrying
     the source onto it."""
     alpha = check_exponent_vector(alpha, group.m)
-    terms = _symmetrize_terms(group, chi, {alpha: Fraction(1)})
+    _check_group(group, chi)
+    sums: dict[ExponentVector, int] = {}
+    for g, value in chi.items():
+        if value:
+            beta = apply_to_exponents(g, alpha)
+            sums[beta] = sums.get(beta, 0) + value
+    scale = Fraction(chi.degree, group.order)
+    terms = {beta: c * scale for beta, c in sums.items() if c}
     return SymmetrizedPolynomial(group.m, sum(alpha), terms)
-
-
-def symmetrize_polynomial(
-    group: PermutationGroup, chi: CharacterSpec, poly: SymmetrizedPolynomial
-) -> SymmetrizedPolynomial:
-    """Linear extension of the symmetrizer; used to check idempotence."""
-    return SymmetrizedPolynomial(
-        poly.m, poly.d, _symmetrize_terms(group, chi, poly.coefficients)
-    )
 
 
 def norm_squared(
@@ -266,15 +240,3 @@ def dimension_by_character_sum(
             f"character-sum dimension is not a non-negative integer: {result}"
         )
     return int(result)
-
-
-def character_specs_for_integer_irreducibles(
-    group: PermutationGroup,
-) -> list[CharacterSpec]:
-    """CharacterSpec objects for every integer-valued irreducible character
-    of the group."""
-    specs = []
-    for found in integer_irreducible_characters(group):
-        class_values = dict(zip(found["classes"], found["values"]))
-        specs.append(CharacterSpec.from_class_values(group, class_values))
-    return specs

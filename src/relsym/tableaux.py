@@ -19,47 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache, partial
 
-from .config import Record
 from .partitions import Partition, _check_ints, check_partition
-
-
-class Tableau(Record):
-    """A filling of a Young diagram, stored row by row."""
-
-    __slots__ = ("rows",)  # rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(row) for row in self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        """1-indexed access: row i, column j."""
-        return self.rows[i - 1][j - 1]
-
-    def content(self) -> tuple[int, ...]:
-        """How many times each value 1..max occurs."""
-        top = max((v for row in self.rows for v in row), default=0)
-        counts = [0] * top
-        for row in self.rows:
-            for v in row:
-                counts[v - 1] += 1
-        return tuple(counts)
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Entries read row-major, top to bottom."""
-        return tuple(v for row in self.rows for v in row)
-
-    def is_semistandard(self) -> bool:
-        for row in self.rows:
-            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-                return False
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
-            if len(lower) > len(upper):
-                return False
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
-                return False
-        return True
 
 
 def _layer_walk(start, sizes, moves) -> dict:
@@ -163,19 +123,3 @@ def kostka(mu: Sequence[int], pi: Sequence[int]) -> int:
     """The Kostka number K(mu, pi) for partitions of equal weight."""
     mu = check_partition(mu)
     return _kostka_cached(mu, check_partition(pi, sum(mu)))
-
-
-def enumerate_ssyt(mu: Sequence[int], content: Sequence[int]) -> list[Tableau]:
-    """All semistandard tableaux of shape ``mu`` whose entry i occurs
-    ``content[i-1]`` times, sorted by reading word."""
-    mu, content = _check_filling(mu, content)
-    n_rows = len(mu)
-    # count_fillings' walk with each path's rows; every path ends at mu
-    layer = [((0,) * n_rows, ((),) * n_rows)]
-    for value, size in enumerate(content, 1):
-        layer = [
-            (grown, tuple(row + (value,) * (g - s) for row, g, s in zip(rows, grown, state)))
-            for state, rows in layer
-            for grown, _ in _strip_additions(mu, state, size)
-        ]
-    return sorted((Tableau(rows) for _, rows in layer), key=Tableau.reading_word)

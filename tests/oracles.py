@@ -3,7 +3,7 @@
 Nothing here imports the computation paths under test: solution counts come
 from nested enumeration, series multiplication and a coin DP over every part
 of every cycle type, fixed-point counts from filtering all exponent vectors,
-tableau counts from filtering raw fillings,
+tableaux and their counts from filtering raw fillings,
 character tables from coset actions plus Gram-Schmidt peeling, ranks
 from plain rational Gaussian elimination, symmetrized-monomial ranks from
 the whole dense coefficient matrix, subgroup lists from closing
@@ -98,16 +98,33 @@ def verify_trace_identity(m, d, values):
     return fixed == dict(values)
 
 
-def brute_force_kostka(shape, content):
-    """Count semistandard fillings by filtering all distinct arrangements of
-    the content multiset into the diagram, row-major."""
-    entries = []
-    for value, count in enumerate(content, start=1):
-        entries.extend([value] * count)
-    cells = sum(shape)
-    assert len(entries) == cells
-    count = 0
-    for arrangement in set(permutations(entries)):
+def _distinct_arrangements(word):
+    """Every distinct ordering of ``word``, in lexicographic order, by the
+    classical next-permutation step."""
+    word = sorted(word)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
+
+
+def brute_force_tableaux(shape, content):
+    """Every semistandard tableau of ``shape`` in which entry i occurs
+    ``content[i-1]`` times, as a tuple of rows, sorted by reading word: each
+    distinct arrangement of the content word placed in the cells row by
+    row, kept when its rows are weak and its columns strict."""
+    word = [value for value, count in enumerate(content, start=1) for _ in range(count)]
+    assert len(word) == sum(shape)
+    found = []
+    for arrangement in _distinct_arrangements(word):
         rows = []
         pos = 0
         for length in shape:
@@ -123,8 +140,14 @@ def brute_force_kostka(shape, content):
             for j in range(len(rows[i + 1]))
         )
         if ok:
-            count += 1
-    return count
+            found.append(tuple(rows))
+    return found
+
+
+def brute_force_kostka(shape, content):
+    """Count semistandard fillings by filtering all distinct arrangements of
+    the content multiset into the diagram, row-major."""
+    return len(brute_force_tableaux(shape, content))
 
 
 @lru_cache(maxsize=None)

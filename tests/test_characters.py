@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -15,12 +14,15 @@ from relsym.characters import (
     irreducible_character_value,
     irreducible_class_function,
     restricted_trivial_inner_product,
-    trivial_character,
 )
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import class_size, enumerate_partitions, multiplicity_factorial
 from relsym.tableaux import kostka
+
+
+def _trivial(m):
+    return ClassFunction(m, dict.fromkeys(enumerate_partitions(m), 1))
 
 
 def test_character_value_examples():
@@ -102,7 +104,7 @@ def test_inner_product_with_solution_counts():
 
 def test_inner_product_rejects_degree_mismatch():
     with pytest.raises(ValueError):
-        inner_product(trivial_character(3), trivial_character(4))
+        inner_product(_trivial(3), _trivial(4))
 
 
 def test_restricted_trivial_examples():
@@ -122,7 +124,7 @@ def test_restricted_trivial_equals_kostka(m):
 
 def test_induced_trivial_examples():
     for m in range(1, 6):
-        assert induced_trivial_character((m,)) == trivial_character(m)
+        assert induced_trivial_character((m,)) == _trivial(m)
     regular = induced_trivial_character((1, 1, 1))
     assert [int(regular.values[lam]) for lam in enumerate_partitions(3)] == [0, 0, 6]
     ind = induced_trivial_character((2, 1))
@@ -154,18 +156,7 @@ def test_induced_trivial_is_a_permutation_character(m):
 def test_class_function_needs_exactly_the_cycle_types(keys):
     with pytest.raises(ValueError, match="every cycle type of degree 3"):
         ClassFunction(3, dict.fromkeys(keys, 1))
-    assert ClassFunction(3, dict.fromkeys([(1, 1, 1), (2, 1), (3,)], 1)) == trivial_character(3)
-
-
-def test_class_function_validation_and_arithmetic():
-    with pytest.raises(ValueError):
-        ClassFunction(3, {(3,): Fraction(1)})
-    one = trivial_character(3)
-    two = one + one
-    assert two.values[(3,)] == 2
-    assert two.scale(Fraction(1, 2)) == one
-    assert one.is_integral()
-    assert not one.scale(Fraction(1, 2)).is_integral()
+    assert ClassFunction(3, dict.fromkeys([(1, 1, 1), (2, 1), (3,)], 1)) == _trivial(3)
 
 
 def test_character_table_concurrent_construction():

@@ -80,6 +80,42 @@ def test_character_needs_arguments(capsys):
     assert "need either" in err
 
 
+@pytest.mark.parametrize(
+    "extra", [("--partition", "2,1"), ("--class", "3"), ("--partition", "2,1", "--class", "3")]
+)
+def test_character_table_takes_no_partition_or_class(capsys, extra):
+    code, out, err = run(capsys, "character", "--table", "3", *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: --table takes neither --partition nor --class\n"
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("qchar", "--m", "24", "--d", "24", "--json"), 10),
+        (("qchar", "--m", "30", "--d", "5"), 10),
+        (("qchar", "--m", "3", "--d", "2"), 0),
+    ],
+    ids=["json", "text", "closed-at-once"],
+)
+def test_a_reader_closing_the_pipe_is_not_an_error(argv, size):
+    # 288 KB and 153 KB of output, more than a pipe holds, are still being
+    # written when the reader goes; 29 bytes stay in stdout's buffer until
+    # the last flush, and the reader has gone long before that
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout is by default
+    with subprocess.Popen(
+        [sys.executable, "-m", "relsym.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(size)) == size
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
+
+
 def test_dim_verify(capsys):
     code, out, _ = run(capsys, "dim", "--m", "3", "--d", "2", "--partition", "2,1", "--verify")
     assert code == 0

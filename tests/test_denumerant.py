@@ -13,10 +13,14 @@ from oracles import (
     prefix_walk_class_function,
     verify_trace_identity,
 )
-from relsym.characters import _cycle_types, character_table, trivial_character
+from relsym.characters import (
+    ClassFunction,
+    _cycle_types,
+    character_table,
+    class_function_from_decomposition,
+)
 from relsym.denumerant import (
     _denumerant_counts,
-    class_function_from_decomposition,
     denumerant,
     denumerant_by_induced_characters,
     denumerant_class_function,
@@ -27,6 +31,10 @@ from relsym.partitions import enumerate_partitions, gamma_size
 
 # the package re-exports the function denumerant under the module's name
 denumerant_module = importlib.import_module("relsym.denumerant")
+
+
+def _trivial(m):
+    return ClassFunction(m, dict.fromkeys(_cycle_types(m), 1))
 
 
 def test_denumerant_examples():
@@ -86,7 +94,7 @@ def test_class_function_examples():
         (2, 1): 2,
         (3,): 0,
     }
-    assert denumerant_class_function(4, 0) == trivial_character(4)
+    assert denumerant_class_function(4, 0) == _trivial(4)
     q41 = denumerant_class_function(4, 1)
     for lam in enumerate_partitions(4):
         assert q41.values[lam] == sum(1 for part in lam if part == 1)
@@ -142,7 +150,7 @@ def test_induced_route_examples():
     assert int(got.values[(1, 1)]) == 2
     assert int(got.values[(2,)]) == 0
     for m in (1, 2, 4):
-        assert denumerant_by_induced_characters(m, 0) == trivial_character(m)
+        assert denumerant_by_induced_characters(m, 0) == _trivial(m)
 
 
 @pytest.mark.parametrize("m", range(1, 6))

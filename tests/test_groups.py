@@ -111,7 +111,7 @@ def test_orbit_stabilizer(data):
     m, alpha = data
     alpha = tuple(alpha)
     group = PermutationGroup.symmetric(m)
-    orbit = group.orbit(alpha)
+    orbit = {apply_to_exponents(g, alpha) for g in group.elements}
     stab = group.stabilizer(alpha)
     assert len(orbit) * stab.order == group.order
 

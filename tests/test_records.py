@@ -12,9 +12,7 @@ from relsym import (
     ClassFunction,
     DimensionReport,
     SymmetrizedPolynomial,
-    Tableau,
     dimension_report,
-    enumerate_ssyt,
     limits,
     sn_character_spec,
     symmetrize_monomial,
@@ -56,12 +54,6 @@ RECORDS = {
         "SymmetrizedPolynomial(m=3, d=2, coefficients={(1, 1, 0): Fraction(2, 3), "
         "(1, 0, 1): Fraction(-1, 3), (0, 1, 1): Fraction(-1, 3)})",
         False,
-    ),
-    "Tableau": (
-        lambda: enumerate_ssyt((2, 1), (1, 1, 1))[0],
-        lambda: enumerate_ssyt((2, 1), (1, 1, 1))[1],
-        "Tableau(rows=((1, 2), (3,)))",
-        True,
     ),
 }
 
@@ -127,7 +119,6 @@ def test_constructor_positions_keywords_and_defaults():
     assert positional.rank_dimension is None
     assert Limits() == Limits(10_000_000, 1_000_000, 12)
     assert Limits(7).max_gamma == Limits(max_gamma=7).max_gamma == 7
-    assert Tableau(rows=((1,),)) == Tableau(((1,),))
     for args, kwargs in [
         ((3, 2, (2, 1)), {}),  # missing fields
         ((1, 2, 3, 4), {}),  # too many

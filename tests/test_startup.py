@@ -48,7 +48,7 @@ _PUBLIC = {
     "characters": (
         "ClassFunction", "character_table", "induced_trivial_character", "inner_product",
         "irreducible_character_value", "irreducible_class_function",
-        "restricted_trivial_inner_product", "trivial_character",
+        "restricted_trivial_inner_product",
     ),
     "config": ("limits", "use_limits"),
     "denumerant": (
@@ -70,9 +70,8 @@ _PUBLIC = {
     "symmetrizer": (
         "CharacterSpec", "SymmetrizedPolynomial", "dimension_by_character_sum",
         "dimension_by_rank", "norm_squared", "sn_character_spec", "symmetrize_monomial",
-        "symmetrize_polynomial",
     ),
-    "tableaux": ("Tableau", "enumerate_ssyt", "hook_lengths", "kostka"),
+    "tableaux": ("hook_lengths", "kostka"),
 }
 
 # one first call per thread, each into a layer that has not run yet
@@ -97,6 +96,9 @@ _LAYERS_RUN = (
 
 _CORE = ["cli", "config", "errors", "partitions", "tableaux"]
 _RANK_STACK = {"groups", "irreducibles", "linalg", "symmetrizer"}
+_LIBRARY = [m.partition(".")[2] for m in _MODULES if m != "relsym"]
+# stands for a character file written under the test's tmp_path
+_CHARACTER_FILE = "<character file>"
 
 
 def _fresh(code, *args, stdin=None):
@@ -148,11 +150,19 @@ def test_threads_that_first_touch_layers_at_once_all_succeed():
         (["denumerant", "--coins", "1,2,5", "--amount", "12"], None, {"characters"}, False),
         (["dim", "--m", "5", "--d", "4", "--partition", "3,1,1"], None, _RANK_STACK, False),
         (["dim", "--m", "4", "--d", "3", "--partition", "2,2", "--verify"],
-         [m.partition(".")[2] for m in _MODULES if m != "relsym"], set(), False),
+         [m for m in _LIBRARY if m != "irreducibles"], set(), False),
+        (["symmetrize", "--generators", "(1 2),(1 2 3)", "--character", _CHARACTER_FILE,
+          "--alpha", "2,0,0"],
+         [m for m in _LIBRARY if m not in ("dimensions", "irreducibles")], set(), False),
     ],
-    ids=["unknown-command", "missing-option", "kostka", "vanish", "denumerant", "dim", "dim-verify"],
+    ids=["unknown-command", "missing-option", "kostka", "vanish", "denumerant", "dim",
+         "dim-verify", "symmetrize"],
 )
-def test_a_query_runs_only_the_layers_it_reaches(argv, ran, not_ran, no_fractions):
+def test_a_query_runs_only_the_layers_it_reaches(argv, ran, not_ran, no_fractions, tmp_path):
+    if _CHARACTER_FILE in argv:
+        character = tmp_path / "character.json"
+        character.write_text(json.dumps({"()": 2, "(1 2)": 0, "(1 2 3)": -1}))
+        argv = [str(character) if arg == _CHARACTER_FILE else arg for arg in argv]
     code, layers, fractions = json.loads(_fresh(_LAYERS_RUN, json.dumps(argv)))
     assert code == (1 if ran == ["cli"] else 0)
     if ran is not None:
@@ -180,7 +190,7 @@ def test_public_names_are_their_layers_objects():
     )
     out = json.loads(_fresh(code))
     names = sorted(name for name, _ in pairs)
-    assert len(names) == 46
+    assert len(names) == 42
     assert out["wrong"] == []
     assert out["star"] == names
     assert set(names) <= set(out["dir"])
@@ -197,7 +207,6 @@ def test_records_unpickle_in_a_fresh_process():
         relsym.ClassFunction(2, {(2,): 0, (1, 1): Fraction(1, 2)}),
         relsym.dimension_report(3, 2, (2, 1), verify_rank=True),
         relsym.symmetrize_monomial(spec.group, spec, (1, 1, 0)),
-        relsym.enumerate_ssyt((2, 1), (1, 1, 1))[0],
     ]
     code = "import pickle, sys\nprint(repr(pickle.loads(sys.stdin.buffer.read())))\n"
     assert _fresh(code, stdin=pickle.dumps(records)).decode() == repr(records) + "\n"

@@ -1,20 +1,13 @@
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_kostka, hook_length_dimension
+from oracles import brute_force_kostka, brute_force_tableaux, hook_length_dimension
 from relsym.partitions import dominates, enumerate_partitions, multiplicity_factorial
 from relsym.characters import _mn_value
-from relsym.tableaux import (
-    Tableau,
-    _b,
-    _kostka_column,
-    count_fillings,
-    enumerate_ssyt,
-    hook_lengths,
-    kostka,
-)
+from relsym.tableaux import _b, _kostka_column, count_fillings, hook_lengths, kostka
 
 
 def test_kostka_diagonal_is_one():
@@ -69,26 +62,33 @@ def test_kostka_positive_iff_dominates(m):
             assert (kostka(mu, pi) > 0) == dominates(mu, pi)
 
 
-def test_enumerate_ssyt_examples():
-    only = enumerate_ssyt((2,), (1, 1))
-    assert [t.rows for t in only] == [((1, 2),)]
-    assert enumerate_ssyt((1, 1), (2, 0)) == []
-    two = enumerate_ssyt((2, 1), (1, 1, 1))
-    assert len(two) == 2
+def test_brute_force_tableaux_examples():
+    examples = {
+        ((2,), (1, 1)): [((1, 2),)],
+        ((1, 1), (2, 0)): [],
+        ((2, 1), (1, 1, 1)): [((1, 2), (3,)), ((1, 3), (2,))],
+        ((2, 1), (2, 1)): [((1, 1), (2,))],
+    }
+    for (shape, content), tableaux in examples.items():
+        assert brute_force_tableaux(shape, content) == tableaux
+        assert count_fillings(shape, content) == len(tableaux)
 
 
-def test_enumerate_ssyt_output_is_valid_and_sorted():
-    for mu in enumerate_partitions(5):
-        for pi in enumerate_partitions(5):
-            tableaux = enumerate_ssyt(mu, pi)
-            assert len(tableaux) == kostka(mu, pi)
-            words = [t.reading_word() for t in tableaux]
-            assert words == sorted(words)
-            assert len(set(words)) == len(words)
-            for t in tableaux:
-                assert t.shape == mu
-                assert t.is_semistandard()
-                assert t.content() == pi
+def _compositions(m):
+    """Every content of weight m with m entries, zeros allowed: each
+    partition of m padded with zeros, in every distinct order."""
+    return {
+        order
+        for pi in enumerate_partitions(m)
+        for order in permutations(pi + (0,) * (m - len(pi)))
+    }
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_count_fillings_counts_the_brute_force_tableaux(m):
+    for mu in enumerate_partitions(m):
+        for content in _compositions(m):
+            assert count_fillings(mu, content) == len(brute_force_tableaux(mu, content))
 
 
 @st.composite
@@ -108,7 +108,7 @@ def shape_and_content(draw):
 def test_content_permutation_invariance(data):
     mu, pi, shuffled = data
     assert count_fillings(mu, shuffled) == kostka(mu, pi)
-    assert len(enumerate_ssyt(mu, shuffled)) == kostka(mu, pi)
+    assert len(brute_force_tableaux(mu, shuffled)) == kostka(mu, pi)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -120,17 +120,6 @@ def test_kostka_column_weighted_by_degrees(m):
             kostka(mu, pi) * hook_length_dimension(mu) for mu in enumerate_partitions(m)
         )
         assert total == math.factorial(m) // multiplicity_factorial(pi)
-
-
-def test_tableau_entry_access():
-    t = enumerate_ssyt((2, 1), (2, 1))[0]
-    assert t.entry(1, 1) == 1
-    assert t.entry(1, 2) == 1
-    assert t.entry(2, 1) == 2
-
-
-def test_enumerate_ssyt_takes_many_values():
-    assert len(enumerate_ssyt((1000,), (1,) * 1000)) == 1
 
 
 def _hooks_by_counting(pi):
@@ -162,11 +151,16 @@ def test_hook_lengths_count_arm_leg_and_cell(m):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_b_is_the_least_entry_sum_of_a_tableau_from_zero(m):
     # over the semistandard tableaux of shape pi with a partition as content,
-    # every entry lowered by 1
+    # every entry lowered by 1; a content fixes the entry sum, so the first
+    # tableau found with the contents in order of their entry sums is least
+    def entry_sum(content):
+        return sum(i * count for i, count in enumerate(content))
+
+    contents = sorted(enumerate_partitions(m), key=entry_sum)
     for pi in enumerate_partitions(m):
-        least = min(
-            sum(tableau.reading_word()) - m
-            for content in enumerate_partitions(m)
-            for tableau in enumerate_ssyt(pi, content)
+        least = next(
+            sum(map(sum, tableau)) - m
+            for content in contents
+            for tableau in brute_force_tableaux(pi, content)
         )
         assert _b(pi) == least
