@@ -225,8 +225,11 @@ def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
     integer values, e.g. {"()": 2, "(1 2)": 0, "(1 2 3)": -1}."""
     from .groups import parse_permutation
     from .symmetrizer import CharacterSpec
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle, object_pairs_hook=_unique_keys)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
+    except OSError as exc:  # an unreadable file is bad input, like a malformed one
+        raise ValueError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ValueError("character file must be a JSON object")
     class_values = {}
@@ -347,8 +350,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # only writes of the answer raise it, e.g. to a full disk
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     except errors.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

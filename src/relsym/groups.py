@@ -4,7 +4,8 @@ A permutation of {1..m} is stored as a tuple ``p`` of 0-indexed images:
 ``p[i]`` is the image of point i.  Groups are given by generators and closed
 by breadth-first products; every group here is small enough to hold its full
 element list, which later operations (classes, stabilizers, symmetrizing)
-iterate directly.
+iterate directly.  A group never changes, so it works out its conjugacy
+classes on the first request and keeps them.
 """
 
 from __future__ import annotations
@@ -34,21 +35,27 @@ def inverse(p: Permutation) -> Permutation:
     return tuple(out)
 
 
-def cycle_type(p: Permutation) -> Partition:
-    """Cycle lengths of ``p``, sorted descending (fixed points included)."""
+def _cycles(p: Permutation) -> list[list[int]]:
+    """The cycles of ``p`` as lists of 0-indexed points, fixed points
+    included, each starting at its smallest point, in order of that point."""
     seen = [False] * len(p)
-    lengths = []
+    cycles = []
     for start in range(len(p)):
         if seen[start]:
             continue
-        length = 0
+        cycle = []
         i = start
         while not seen[i]:
             seen[i] = True
+            cycle.append(i)
             i = p[i]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+        cycles.append(cycle)
+    return cycles
+
+
+def cycle_type(p: Permutation) -> Partition:
+    """Cycle lengths of ``p``, sorted descending (fixed points included)."""
+    return tuple(sorted(map(len, _cycles(p)), reverse=True))
 
 
 def apply_to_exponents(p: Permutation, alpha: Sequence[int]) -> ExponentVector:
@@ -97,22 +104,10 @@ def parse_generators(text: str, m: int) -> list[Permutation]:
 def format_permutation(p: Permutation) -> str:
     """Canonical cycle notation: cycles sorted by smallest point, fixed
     points omitted, identity rendered ``"()"``."""
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cycle = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i + 1)
-            i = p[i]
-        cycles.append(cycle)
+    cycles = [cycle for cycle in _cycles(p) if len(cycle) > 1]
     if not cycles:
         return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
+    return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
 class PermutationGroup:
@@ -151,6 +146,7 @@ class PermutationGroup:
         self.elements = tuple(sorted(elements))
         self.order = len(self.elements)
         self._element_set = elements
+        self._classes: list[tuple[Permutation, ...]] | None = None  # on first request
 
     @classmethod
     def symmetric(cls, m: int) -> "PermutationGroup":
@@ -173,19 +169,20 @@ class PermutationGroup:
         return f"PermutationGroup(order={self.order}, m={self.m}, generators=[{gens}])"
 
     def conjugacy_classes(self) -> list[tuple[Permutation, ...]]:
-        """Conjugacy classes as sorted tuples, the identity class first,
-        remaining classes in order of their smallest element."""
-        remaining = set(self.elements)
-        classes = []
-        for x in self.elements:
-            if x not in remaining:
-                continue
-            orbit = {compose(compose(g, x), inverse(g)) for g in self.elements}
-            remaining -= orbit
-            classes.append(tuple(sorted(orbit)))
-        identity = identity_permutation(self.m)
-        classes.sort(key=lambda cls: (cls[0] != identity, cls[0]))
-        return classes
+        """Conjugacy classes as sorted tuples, in order of their smallest
+        element, so the identity class (the least permutation) comes first.
+        Worked out on the first call and kept; every call returns a new list."""
+        if self._classes is None:
+            remaining = set(self.elements)
+            classes = []
+            for x in self.elements:
+                if x not in remaining:
+                    continue
+                orbit = {compose(compose(g, x), inverse(g)) for g in self.elements}
+                remaining -= orbit
+                classes.append(tuple(sorted(orbit)))  # x is its least element
+            self._classes = classes
+        return list(self._classes)
 
     def stabilizer(self, alpha: Sequence[int]) -> "PermutationGroup":
         """The subgroup fixing the exponent vector ``alpha`` under the

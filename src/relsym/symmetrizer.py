@@ -79,10 +79,9 @@ class CharacterSpec:
     ) -> "CharacterSpec":
         """Build from one value per conjugacy class representative;
         membership is resolved by conjugacy search in the element list."""
-        classes = group.conjugacy_classes()
         remaining = dict(class_values)
         values: dict[Permutation, int] = {}
-        for group_class in classes:
+        for group_class in group.conjugacy_classes():
             members = set(group_class)
             hits = [rep for rep in remaining if tuple(rep) in members]
             if len(hits) != 1:
@@ -97,16 +96,6 @@ class CharacterSpec:
             raise ValueError("some given representatives lie outside the group")
         return cls(group, values)
 
-    @classmethod
-    def from_cycle_type_values(
-        cls, group: PermutationGroup, type_values: Mapping[tuple, int]
-    ) -> "CharacterSpec":
-        """Build from values given per cycle type (valid whenever the
-        character is constant on cycle-type fibers, e.g. on a full symmetric
-        group)."""
-        values = {g: type_values[cycle_type(g)] for g in group.elements}
-        return cls(group, values)
-
     def items(self):
         """``(element, value)`` pairs in the group's element order."""
         return self._by_element.items()
@@ -117,7 +106,8 @@ def sn_character_spec(m: int, pi: Sequence[int]) -> CharacterSpec:
     partition ``pi``, as a CharacterSpec on the standard group."""
     pi = check_partition(pi, m)
     group = PermutationGroup.symmetric(m)
-    return CharacterSpec.from_cycle_type_values(group, _row(pi))
+    row = _row(pi)
+    return CharacterSpec(group, {g: row[cycle_type(g)] for g in group.elements})
 
 
 class SymmetrizedPolynomial(Record):
@@ -224,16 +214,14 @@ def dimension_by_character_sum(
     group: PermutationGroup, chi: CharacterSpec, d: int
 ) -> int:
     """Dimension of the symmetrized degree-d space from the character paired
-    with the per-element solution counts of the cycle-type coin equations."""
+    with the solution counts of the cycle-type coin equations, both constant
+    on conjugacy classes: one term |K| * chi(K) * count per class K."""
     _check_m_d(group.m, d)
     _check_group(group, chi)
-    counts: dict[tuple, int] = {}
-    total = 0
-    for g, value in chi.items():
-        lam = cycle_type(g)
-        if lam not in counts:
-            counts[lam] = denumerant(lam, d)
-        total += value * counts[lam]
+    total = sum(
+        len(cls) * chi._by_element[cls[0]] * denumerant(cycle_type(cls[0]), d)
+        for cls in group.conjugacy_classes()
+    )
     result = Fraction(chi.degree * total, group.order)
     if result.denominator != 1 or result < 0:
         raise ConsistencyError(

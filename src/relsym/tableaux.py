@@ -52,6 +52,8 @@ def _strip_additions(
         # new row lengths stay weakly decreasing automatically: the bound by
         # the old length of the row above is the stricter one
         high = min(shape[i], current[i - 1] if i > 0 else shape[i])
+        if i == len(current) - 1:  # the last row takes exactly what remains
+            return [(prefix + (low + rest,), 1) for prefix, rest in prefixes if low + rest <= high]
         prefixes = [
             (prefix + (new_len,), remaining - (new_len - low))
             for prefix, remaining in prefixes

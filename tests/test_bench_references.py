@@ -1,10 +1,11 @@
-"""Every CLI query the benchmark can draw answers as ``bench/references.json``
-records, checked by the benchmark's own digest.  The benchmark's modules
-are loaded from their files, not installed; nothing under ``bench/`` is
-written."""
+"""Every CLI query and library call the benchmark can draw answers as
+``bench/references.json`` records, checked by the benchmark's own digest.
+The benchmark's modules are loaded from their files, not installed; nothing
+under ``bench/`` is written."""
 
 import importlib.util
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -41,4 +42,21 @@ def test_every_cli_query_matches_its_reference(capsys, tmp_path):
         if got != references[key]:
             wrong.append((key, got, references[key]))
     assert len(queries) > 3000
+    assert wrong == []
+
+
+def test_every_library_call_matches_its_reference():
+    references = json.loads((_BENCH / "references.json").read_text(encoding="utf-8"))
+    _, calls, _ = workloads.reference_domain()
+    previous = signal.getsignal(signal.SIGALRM)  # run_calls installs its own
+    try:
+        results = child.run_calls([json.dumps(call) for call in calls])
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    wrong = [
+        (key, got, error, references.get(key))
+        for key, got, _, error in results
+        if got != references.get(key)
+    ]
+    assert len(results) > 1200
     assert wrong == []

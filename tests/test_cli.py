@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -114,6 +115,21 @@ def test_a_reader_closing_the_pipe_is_not_an_error(argv, size):
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_a_failed_write_of_the_answer_is_one_line_and_exit_1(mode):
+    src = Path(__file__).resolve().parent.parent / "src"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "relsym.cli", "qchar", "--m", "3", "--d", "2", *mode],
+            env={**os.environ, "PYTHONPATH": str(src)}, stdout=full, stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert done.returncode == 1
+    assert done.stderr.decode() == f"error: cannot write the output: {reason}\n"
 
 
 def test_dim_verify(capsys):

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import permutation_of_cycle_type, subgroups, symmetric_group_elements
+from oracles import cycle_type_of, permutation_of_cycle_type, subgroups, symmetric_group_elements
+import relsym.groups as groups
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.groups import (
@@ -88,6 +89,42 @@ def test_conjugacy_classes_of_s4():
     assert classes[0] == (identity_permutation(4),)
     by_type = {cycle_type(cls[0]): len(cls) for cls in classes}
     assert by_type == {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}
+
+
+def test_a_second_class_request_composes_nothing(monkeypatch):
+    s4 = PermutationGroup.symmetric(4)
+    first = s4.conjugacy_classes()
+    calls = []
+
+    def counting_compose(p, q):
+        calls.append((p, q))
+        return compose(p, q)
+
+    monkeypatch.setattr(groups, "compose", counting_compose)
+    assert s4.conjugacy_classes() == first
+    assert calls == []
+
+
+def test_editing_the_returned_classes_leaves_the_group_unchanged():
+    s3 = PermutationGroup.symmetric(3)
+    classes = s3.conjugacy_classes()
+    expected = list(classes)
+    classes.reverse()
+    classes[0] = ()
+    classes.append((identity_permutation(3),))
+    assert s3.conjugacy_classes() == expected
+
+
+def test_cycle_type_matches_the_oracle_on_every_small_permutation():
+    for m in range(1, 7):
+        for p in symmetric_group_elements(m):
+            assert cycle_type(p) == cycle_type_of(p)
+
+
+def test_format_then_parse_gives_every_small_permutation_back():
+    for m in range(1, 7):
+        for p in symmetric_group_elements(m):
+            assert parse_permutation(format_permutation(p), m) == p
 
 
 def test_stabilizer_examples():

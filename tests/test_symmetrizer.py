@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    brute_force_denumerant,
+    cycle_type_of,
     dense_rank_dimension,
     fraction_matrix_rank,
     subgroups,
@@ -146,6 +148,31 @@ def test_character_sum_examples():
     for group, spec in [(c3, triv_c3), (s2(), sn_character_spec(2, (2,)))]:
         assert dimension_by_character_sum(group, spec, 0) == 1
     assert dimension_by_character_sum(s2(), sn_character_spec(2, (1, 1)), 0) == 0
+
+
+# the six groups of the benchmark's library sweep (bench/workloads.py)
+_SWEEP_GROUPS = [
+    (4, "(1 2), (1 2 3 4)"),
+    (5, "(1 2 3 4 5), (2 5)(3 4)"),
+    (6, "(1 2 3 4 5 6), (2 6)(3 5)"),
+    (5, "(1 2), (1 2 3), (4 5)"),
+    (5, "(1 2), (1 2 3 4 5)"),
+    (6, "(1 2), (1 2 3), (1 4)(2 5)(3 6)"),
+]
+
+
+def test_character_sum_by_class_equals_the_sum_over_elements():
+    cases = _all_s4_subgroup_specs()
+    for m, gens in _SWEEP_GROUPS:
+        group = PermutationGroup(parse_generators(gens, m), m)
+        cases += [(group, spec) for spec in _integer_irreducible_specs(group)]
+    for group, spec in cases:
+        for d in range(0, 5):
+            total = sum(
+                value * brute_force_denumerant(cycle_type_of(g), d) for g, value in spec.items()
+            )
+            expected = Fraction(spec.degree * total, group.order)
+            assert dimension_by_character_sum(group, spec, d) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -19,6 +20,19 @@ def test_kostka_diagonal_is_one():
 def test_kostka_examples():
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((3, 2), (2, 2, 1)) == 2
+
+
+def test_a_one_row_filling_builds_one_strip():
+    # the last row of a strip takes exactly the cells that remain, so a
+    # million-cell row is one candidate, not a million
+    tracemalloc.start()
+    try:
+        value = count_fillings((10**6,), (10**6,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 1_000_000
 
 
 def test_kostka_rejects_weight_mismatch():
