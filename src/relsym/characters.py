@@ -127,7 +127,7 @@ def class_function_from_decomposition(
 
 def irreducible_class_function(pi: Sequence[int]) -> ClassFunction:
     pi = check_partition(pi)
-    return class_function_from_decomposition(sum(pi), {pi: 1})
+    return ClassFunction(sum(pi), _row(pi))
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:

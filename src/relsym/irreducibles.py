@@ -22,8 +22,8 @@ from .errors import ConsistencyError
 from .groups import PermutationGroup, compose, inverse
 from .linalg import kernel
 
-Vector = tuple[Fraction, ...]
-Matrix = list[list[Fraction]]
+Vector = tuple[int | Fraction, ...]
+Matrix = list[list[int]]
 
 
 def _class_multiplication_matrices(
@@ -35,7 +35,7 @@ def _class_multiplication_matrices(
     classes = group.conjugacy_classes()
     r = len(classes)
     index_of = {g: k for k, cls in enumerate(classes) for g in cls}
-    matrices: list[Matrix] = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    matrices: list[Matrix] = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k, cls_k in enumerate(classes):
         rep = cls_k[0]
         for i, cls_i in enumerate(classes):
@@ -52,7 +52,7 @@ def _common_rational_eigenlines(
     of the commuting family (central character values are bounded by the
     class size, so only those integers are probed)."""
     r = len(class_sizes)
-    unit = lambda i: tuple(Fraction(int(j == i)) for j in range(r))
+    unit = lambda i: tuple(int(j == i) for j in range(r))
     spaces: list[list[Vector]] = [[unit(i) for i in range(r)]]
     for i in range(1, r):
         mat = matrices[i]
@@ -76,14 +76,10 @@ def _common_rational_eigenlines(
                 ]
                 eigen = kernel(shifted, s)
                 if eigen:
-                    lifted = [
-                        tuple(
-                            sum(coords[t] * basis[t][k] for t in range(s))
-                            for k in range(r)
-                        )
+                    refined.append([
+                        tuple(sum(c * b[k] for c, b in zip(coords, basis)) for k in range(r))
                         for coords in eigen
-                    ]
-                    refined.append(lifted)
+                    ])
         spaces = refined
     return [basis[0] for basis in spaces if len(basis) == 1]
 
@@ -96,41 +92,28 @@ def integer_irreducible_characters(group: PermutationGroup) -> list[dict]:
     list is sorted by degree, then values, and is complete: every irreducible
     character of the group whose values are all rational integers appears
     exactly once.
+
+    Divided by its identity-class entry, a rational joint eigenline is a
+    central character omega, so chi(1)**2 = |G| / sum(omega_K**2 / |K|) and
+    chi_K = chi(1) * omega_K / |K| are integers.  An eigenline that does not
+    give an integer character raises ``ConsistencyError``: a bug, never bad input.
     """
     classes, matrices = _class_multiplication_matrices(group)
     sizes = [len(cls) for cls in classes]
     reps = [cls[0] for cls in classes]
-    order = group.order
-    found = {}
+    out = []
     for line in _common_rational_eigenlines(matrices, sizes):
-        if line[0] == 0:
-            continue
-        omega = [v / line[0] for v in line]
-        if any(w.denominator != 1 for w in omega):
-            continue
-        norm = sum(w * w / size for w, size in zip(omega, sizes))
-        degree_sq = Fraction(order) / norm
-        if degree_sq.denominator != 1:
-            continue
-        degree = math.isqrt(degree_sq.numerator)
-        if degree * degree != degree_sq.numerator:
-            continue
-        values = []
-        ok = True
-        for w, size in zip(omega, sizes):
-            val = Fraction(degree * w, size)
-            if val.denominator != 1:
-                ok = False
-                break
-            values.append(int(val))
-        if not ok:
-            continue
-        if sum(size * v * v for size, v in zip(sizes, values)) != order:
-            raise ConsistencyError("recovered character fails self-pairing")
-        found[tuple(values)] = values
-    out = [
-        {"classes": reps, "values": values, "degree": values[0]}
-        for values in found.values()
-    ]
+        if line[0]:  # a zero identity entry fails the check below, undivided
+            omega = [Fraction(v, line[0]) for v in line]
+            norm = sum(w * w / size for w, size in zip(omega, sizes))
+            degree = math.isqrt(int(group.order / norm))
+            values = [degree * w / size for w, size in zip(omega, sizes)]
+        # sum(|K| * chi_K**2) is degree**2 * norm: |G| only if degree**2 = |G| / norm
+        if not line[0] or any(x.denominator != 1 for x in omega + values) or (
+            sum(size * v * v for size, v in zip(sizes, values)) != group.order
+        ):
+            raise ConsistencyError(f"eigenline {line} gives no integer irreducible character")
+        values = [int(v) for v in values]
+        out.append({"classes": reps, "values": values, "degree": values[0]})
     out.sort(key=lambda ch: (ch["degree"], ch["values"]))
     return out

@@ -148,13 +148,13 @@ def norm_squared(
     group: PermutationGroup, chi: CharacterSpec, alpha: Sequence[int]
 ) -> Fraction:
     """Squared norm of the symmetrized monomial, degree * [chi, 1]_stab / index
-    = degree * (chi summed over the stabilizer) / order, checked against the
-    coefficient sum (equal for integer characters: the projection is self-adjoint)."""
+    = degree * (chi summed over the stabilizer) / order, which is alpha's own
+    coefficient in it, checked against the coefficient sum (equal for integer
+    characters: the projection is self-adjoint)."""
     alpha = check_exponent_vector(alpha, group.m)
-    _check_group(group, chi)
-    fixed = sum(value for g, value in chi.items() if apply_to_exponents(g, alpha) == alpha)
-    formula = Fraction(chi.degree * fixed, group.order)
-    direct = symmetrize_monomial(group, chi, alpha).norm_squared()
+    poly = symmetrize_monomial(group, chi, alpha)
+    formula = poly.coefficients.get(alpha, Fraction(0))
+    direct = poly.norm_squared()
     if formula != direct:
         raise ConsistencyError(
             f"norm mismatch for {alpha}: formula {formula}, coefficients {direct}"

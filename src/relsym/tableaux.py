@@ -45,21 +45,23 @@ def _strip_additions(
 
     Row i may grow at most to shape[i], and (for i > 0) not past the previous
     length of row i-1, so no two new cells share a column and every new cell
-    sits on a strictly smaller entry.
+    sits on a strictly smaller entry.  It grows at least by what the rows
+    under it cannot take, so every prefix built is completed.
     """
+    # new row lengths stay weakly decreasing automatically: the bound by
+    # the old length of the row above is the stricter one
+    highs = [min(shape[i], current[i - 1] if i > 0 else shape[i]) for i in range(len(current))]
+    free = sum(highs) - sum(current)  # the cells that the rows not yet grown can take
     prefixes = [((), count)]
-    for i, low in enumerate(current):
-        # new row lengths stay weakly decreasing automatically: the bound by
-        # the old length of the row above is the stricter one
-        high = min(shape[i], current[i - 1] if i > 0 else shape[i])
-        if i == len(current) - 1:  # the last row takes exactly what remains
-            return [(prefix + (low + rest,), 1) for prefix, rest in prefixes if low + rest <= high]
-        prefixes = [
-            (prefix + (new_len,), remaining - (new_len - low))
-            for prefix, remaining in prefixes
-            for new_len in range(low, min(high, low + remaining) + 1)
+    for low, high in zip(current, highs):
+        room = high - low
+        free -= room
+        prefixes = [  # conditionals, not max and min calls: the Kostka walks spend their time here
+            (prefix + (low + take,), rest - take)
+            for prefix, rest in prefixes
+            for take in range(rest - free if rest > free else 0, (rest if rest < room else room) + 1)
         ]
-    return [(prefix, 1) for prefix, remaining in prefixes if remaining == 0]
+    return [(prefix, 1) for prefix, rest in prefixes if rest == 0]
 
 
 def _check_filling(
@@ -81,6 +83,7 @@ def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape ``mu`` with the given content
     composition (zeros allowed, any order)."""
     mu, content = _check_filling(mu, content)
+    content = sorted(content, reverse=True)  # K(mu, c) does not depend on the order of c
     return _layer_walk((0,) * len(mu), content, partial(_strip_additions, mu)).get(mu, 0)
 
 

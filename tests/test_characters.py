@@ -9,6 +9,7 @@ from relsym.characters import (
     ClassFunction,
     _mn_value,
     character_table,
+    class_function_from_decomposition,
     induced_trivial_character,
     inner_product,
     irreducible_character_value,
@@ -93,6 +94,16 @@ def test_inner_product_examples():
     assert inner_product(
         irreducible_class_function((3,)), irreducible_class_function((2, 1))
     ) == 0
+
+
+def test_irreducible_class_function_is_the_one_term_decomposition():
+    for m in range(1, 7):
+        for pi in enumerate_partitions(m):
+            chi = irreducible_class_function(pi)
+            expected = class_function_from_decomposition(m, {pi: 1})
+            assert chi == expected
+            assert repr(chi) == repr(expected)
+            assert list(chi.values) == list(expected.values)
 
 
 def test_inner_product_with_solution_counts():

@@ -2,8 +2,10 @@ from collections import Counter
 
 import pytest
 
+import relsym.irreducibles
 from relsym.characters import character_table
 from oracles import subgroups, symmetric_group_elements
+from relsym.errors import ConsistencyError
 from relsym.groups import PermutationGroup, cycle_type, inverse, parse_generators
 from relsym.irreducibles import integer_irreducible_characters
 
@@ -55,7 +57,7 @@ def test_klein_four_group():
 
 
 def test_symmetric_groups_match_the_table():
-    for m in range(2, 5):
+    for m in range(2, 7):
         group = PermutationGroup.symmetric(m)
         found = integer_irreducible_characters(group)
         table = character_table(m)
@@ -127,3 +129,39 @@ def test_returned_classes_follow_group_order():
     for ch in integer_irreducible_characters(group):
         assert ch["classes"] == reps
         assert len(ch["values"]) == len(reps)
+
+
+@pytest.mark.parametrize(
+    "m, generators, degrees",
+    [
+        # A5 and PSL(2,7) have irrational characters, which are not found
+        (5, "(1 2 3),(1 2 3 4 5)", [1, 4, 5]),
+        (7, "(1 2 3 4 5 6 7),(3 5)(6 7)", [1, 6, 7, 8]),
+        # Q8: every character is integer-valued
+        (8, "(1 2 3 4)(5 6 7 8),(1 5 3 7)(2 8 4 6)", [1, 1, 1, 1, 2]),
+    ],
+)
+def test_characters_of_larger_groups_are_orthonormal(m, generators, degrees):
+    group = PermutationGroup(parse_generators(generators, m), m)
+    sizes = [len(cls) for cls in group.conjugacy_classes()]
+    chars = integer_irreducible_characters(group)
+    assert [ch["degree"] for ch in chars] == degrees
+    for a in chars:
+        for b in chars:
+            total = sum(size * va * vb for size, va, vb in zip(sizes, a["values"], b["values"]))
+            assert total == (group.order if a is b else 0)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        (1, 1, 1),  # not a central character: chi(1)**2 would be 36/11
+        (0, 1, -1),  # zero on the identity class
+    ],
+)
+def test_an_eigenline_that_gives_no_character_raises(monkeypatch, line):
+    monkeypatch.setattr(
+        relsym.irreducibles, "_common_rational_eigenlines", lambda matrices, sizes: [line]
+    )
+    with pytest.raises(ConsistencyError):
+        integer_irreducible_characters(PermutationGroup.symmetric(3))

@@ -63,6 +63,16 @@ def test_norm_examples():
     assert norm_squared(s3(), std, (1, 1, 0)) == Fraction(2, 3)
 
 
+def test_norm_is_the_character_summed_over_the_stabilizer():
+    # degree * (chi summed over the elements fixing alpha) / order, by a pass
+    # of its own over the group
+    for pi in enumerate_partitions(4):
+        group, chi = PermutationGroup.symmetric(4), sn_character_spec(4, pi)
+        for alpha in enumerate_gamma(4, 3):
+            fixed = sum(v for g, v in chi.items() if apply_to_exponents(g, alpha) == alpha)
+            assert norm_squared(group, chi, alpha) == Fraction(chi.degree * fixed, group.order)
+
+
 def test_character_spec_validation():
     group = s2()
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relsym.tableaux
 from oracles import brute_force_kostka, brute_force_tableaux, hook_length_dimension
 from relsym.partitions import dominates, enumerate_partitions, multiplicity_factorial
 from relsym.characters import _mn_value
@@ -28,6 +29,19 @@ def test_a_one_row_filling_builds_one_strip():
     tracemalloc.start()
     try:
         value = count_fillings((10**6,), (10**6,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 1_000_000
+
+
+def test_rows_grow_by_what_the_rows_below_cannot_take():
+    # the first strip of 500,000 cells has one place, the first row: the
+    # second row is bounded by the first row's old length, 0
+    tracemalloc.start()
+    try:
+        value = count_fillings((500_000, 500_000), (500_000, 500_000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -103,6 +117,19 @@ def test_count_fillings_counts_the_brute_force_tableaux(m):
     for mu in enumerate_partitions(m):
         for content in _compositions(m):
             assert count_fillings(mu, content) == len(brute_force_tableaux(mu, content))
+
+
+def test_content_is_walked_largest_part_first(monkeypatch):
+    calls = []
+    strips = relsym.tableaux._strip_additions
+
+    def counted(*args):
+        calls.append(args)
+        return strips(*args)
+
+    monkeypatch.setattr(relsym.tableaux, "_strip_additions", counted)
+    assert count_fillings((300, 200, 100), (100, 200, 300)) == 1
+    assert len(calls) <= 3
 
 
 @st.composite
