@@ -30,9 +30,9 @@ from .errors import ConsistencyError
 from .partitions import (
     Partition,
     _check_m_d,
+    _class_size,
     _cycle_types,
     check_partition,
-    class_size,
     enumerate_partitions,
     multiplicity_factorial,
 )
@@ -138,7 +138,7 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """
     if phi.m != psi.m:
         raise ValueError("cannot pair class functions of different degrees")
-    total = sum(class_size(lam) * v * psi.values[lam] for lam, v in phi.values.items())
+    total = sum(_class_size(lam) * v * psi.values[lam] for lam, v in phi.values.items())
     return Fraction(total, math.factorial(phi.m))
 
 
@@ -151,7 +151,7 @@ def young_subgroup_classes(mu: Partition) -> Iterator[tuple[Partition, int]]:
     factor class sizes.
     """
     per_factor = [
-        [(lam, class_size(lam)) for lam in enumerate_partitions(part)] for part in mu
+        [(lam, _class_size(lam)) for lam in enumerate_partitions(part)] for part in mu
     ]
     for combo in product(*per_factor):
         merged = tuple(sorted((p for lam, _ in combo for p in lam), reverse=True))

@@ -246,14 +246,14 @@ def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
 def _cmd_symmetrize(args) -> None:
     from .groups import PermutationGroup, parse_generators
     from .partitions import check_exponent_vector
-    from .symmetrizer import norm_squared, symmetrize_monomial
+    from .symmetrizer import _checked_norm, symmetrize_monomial
     alpha = check_exponent_vector(_parse_ints(args.alpha, "--alpha"))
     m = len(alpha)
     generators = parse_generators(args.generators, m)
     group = PermutationGroup(generators, m)
     chi = _load_character_file(args.character, group)
     poly = symmetrize_monomial(group, chi, alpha)
-    norm = norm_squared(group, chi, alpha)
+    norm = _checked_norm(poly, alpha)
     ordered = sorted(poly.coefficients.items())
     lines = [
         f"{_format_partition(beta)}: {coeff}" for beta, coeff in ordered

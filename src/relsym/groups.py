@@ -5,13 +5,15 @@ A permutation of {1..m} is stored as a tuple ``p`` of 0-indexed images:
 by breadth-first products; every group here is small enough to hold its full
 element list, which later operations (classes, stabilizers, symmetrizing)
 iterate directly.  A group never changes, so it works out its conjugacy
-classes on the first request and keeps them.
+classes on the first request and keeps them.  Loops over a group apply each
+element as a prebuilt ``itemgetter`` of its images; the action is unchanged.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
 
 from .config import check_cap, limits
 from .partitions import ExponentVector, Partition, _check_m_d, check_exponent_vector
@@ -23,9 +25,14 @@ def identity_permutation(m: int) -> Permutation:
     return tuple(range(m))
 
 
+def _getter(p: Permutation) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``itemgetter(*p)``, or a tuple-building lambda where that returns a bare entry."""
+    return itemgetter(*p) if len(p) > 1 else lambda seq: tuple(seq[i] for i in p)
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The permutation applying ``q`` first, then ``p``."""
-    return tuple(p[i] for i in q)
+    return _getter(q)(p)
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -61,7 +68,7 @@ def cycle_type(p: Permutation) -> Partition:
 def apply_to_exponents(p: Permutation, alpha: Sequence[int]) -> ExponentVector:
     """The coordinate-permutation action on exponent vectors: entry i of the
     result is entry p[i] of the input."""
-    return tuple(alpha[i] for i in p)
+    return _getter(p)(alpha)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -173,12 +180,14 @@ class PermutationGroup:
         element, so the identity class (the least permutation) comes first.
         Worked out on the first call and kept; every call returns a new list."""
         if self._classes is None:
+            conjugators = [(g, _getter(inverse(g))) for g in self.elements]
             remaining = set(self.elements)
             classes = []
             for x in self.elements:
                 if x not in remaining:
                     continue
-                orbit = {compose(compose(g, x), inverse(g)) for g in self.elements}
+                after_x = _getter(x)
+                orbit = {after_inverse(after_x(g)) for g, after_inverse in conjugators}  # g x g^-1
                 remaining -= orbit
                 classes.append(tuple(sorted(orbit)))  # x is its least element
             self._classes = classes

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .groups import PermutationGroup, compose, inverse
+from .groups import PermutationGroup, _getter, inverse
 from .linalg import kernel
 
 Vector = tuple[int | Fraction, ...]
@@ -35,13 +35,13 @@ def _class_multiplication_matrices(
     classes = group.conjugacy_classes()
     r = len(classes)
     index_of = {g: k for k, cls in enumerate(classes) for g in cls}
+    inverses = [[inverse(x) for x in cls] for cls in classes]
     matrices: list[Matrix] = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k, cls_k in enumerate(classes):
-        rep = cls_k[0]
-        for i, cls_i in enumerate(classes):
-            for x in cls_i:
-                j = index_of[compose(inverse(x), rep)]
-                matrices[i][j][k] += 1
+        after_rep = _getter(cls_k[0])  # x^-1 * rep is rep's getter on x^-1
+        for i, inverses_i in enumerate(inverses):
+            for x_inverse in inverses_i:
+                matrices[i][index_of[after_rep(x_inverse)]][k] += 1
     return classes, matrices
 
 

@@ -228,19 +228,20 @@ def orbit_type_counts(m: int, d: int) -> Counter:
     return Counter(dict(_orbit_types(m, d)))
 
 
-def centralizer_order(lam: Partition) -> int:
-    """Order of the centralizer of a permutation of cycle type ``lam``:
-    the product over distinct part sizes i of i**m_i * m_i!."""
-    out = 1
-    for part, count in Counter(lam).items():
-        out *= part**count * math.factorial(count)
-    return out
-
-
 def class_size(lam: Sequence[int]) -> int:
     """Number of permutations with cycle type ``lam`` in the symmetric group
     on ``sum(lam)`` points."""
     lam = check_partition(lam)
     if not lam:
         raise ValueError("cycle type of a permutation in a non-trivial group expected")
-    return math.factorial(sum(lam)) // centralizer_order(lam)
+    return _class_size(lam)
+
+
+@lru_cache(maxsize=512)  # the 271 classes of m <= 12, the default character cap, fit
+def _class_size(lam: Partition) -> int:
+    """m! over the order of the centralizer of a permutation of the checked
+    cycle type ``lam``: the product over distinct part sizes i of i**m_i * m_i!."""
+    centralizer = 1
+    for part, count in Counter(lam).items():
+        centralizer *= part**count * math.factorial(count)
+    return math.factorial(sum(lam)) // centralizer

@@ -15,7 +15,7 @@ example, the faithful characters of a cyclic group of order three.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
 from .characters import _row
@@ -25,6 +25,7 @@ from .errors import ConsistencyError
 from .groups import (
     PermutationGroup,
     Permutation,
+    _getter,
     apply_to_exponents,
     cycle_type,
     identity_permutation,
@@ -152,7 +153,10 @@ def norm_squared(
     coefficient in it, checked against the coefficient sum (equal for integer
     characters: the projection is self-adjoint)."""
     alpha = check_exponent_vector(alpha, group.m)
-    poly = symmetrize_monomial(group, chi, alpha)
+    return _checked_norm(symmetrize_monomial(group, chi, alpha), alpha)
+
+
+def _checked_norm(poly: SymmetrizedPolynomial, alpha: ExponentVector) -> Fraction:
     formula = poly.coefficients.get(alpha, Fraction(0))
     direct = poly.norm_squared()
     if formula != direct:
@@ -176,15 +180,16 @@ def _orbit_blocks(
     row(alpha)[gamma] fills the other rows.
     """
     _check_group(group, chi)
+    acting = [(_getter(g), value) for g, value in chi.items()]
     seen: set[ExponentVector] = set()
     for alpha in enumerate_gamma(group.m, d):
         if alpha in seen:
             continue
-        carrier: dict[ExponentVector, Permutation] = {}
+        carrier: dict[ExponentVector, Callable] = {}  # beta -> the getter of an h
         first: dict[ExponentVector, int] = {}
-        for g, value in chi.items():
-            beta = apply_to_exponents(g, alpha)
-            carrier.setdefault(beta, g)
+        for act, value in acting:
+            beta = act(alpha)
+            carrier.setdefault(beta, act)
             if value:
                 first[beta] = first.get(beta, 0) + value
         orbit = tuple(sorted(carrier))
@@ -196,7 +201,7 @@ def _orbit_blocks(
             h = carrier[beta]
             row = [0] * len(orbit)
             for gamma, v in support:
-                row[column[apply_to_exponents(h, gamma)]] = v
+                row[column[h(gamma)]] = v
             block.append(row)
         yield orbit, block
 

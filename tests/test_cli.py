@@ -741,6 +741,85 @@ def test_symmetrize_output_is_pinned(capsys, tmp_path):
     assert out == "(0,1,1): -1/3\n(1,0,1): -1/3\n(1,1,0): 2/3\nnorm_squared: 2/3\n"
 
 
+def test_one_point_queries_are_pinned(capsys, tmp_path):
+    argv = ("dim", "--m", "1", "--d", "3", "--partition", "1", "--verify")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    _assert_envelope(
+        out,
+        "dim",
+        {"m": 1, "d": 3, "partition": [1], "verify": True},
+        {
+            "m": 1,
+            "d": 3,
+            "partition": [1],
+            "dim_orbit_sum": 1,
+            "dim_inner_product": 1,
+            "dim_decomposition": 1,
+            "rank_dimension": 1,
+            "nonvanishing_witness": [3],
+        },
+        [
+            ["orbit_sum equals inner_product", True],
+            ["orbit_sum equals decomposition", True],
+            ["non-vanishing matches positivity", True],
+            ["rank equals formulas", True],
+        ],
+    )
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"()": 1}))
+    argv = ("symmetrize", "--generators", "()", "--character", str(path), "--alpha", "3")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    _assert_envelope(
+        out,
+        "symmetrize",
+        {"generators": "()", "character": str(path), "alpha": [3]},
+        {"coefficients": [{"exponent": [3], "coefficient": 1}], "norm_squared": 1},
+        [],
+    )
+    assert run(capsys, *argv) == (0, "(3): 1\nnorm_squared: 1\n", "")
+
+
+def _symmetrize_s3(tmp_path):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"()": 2, "(1 2)": 0, "(1 2 3)": -1}))
+    return ("symmetrize", "--generators", "(1 2),(1 2 3)", "--character", str(path),
+            "--alpha", "1,1,0")
+
+
+def test_symmetrize_symmetrizes_the_monomial_once(capsys, tmp_path, monkeypatch):
+    symmetrizer = importlib.import_module("relsym.symmetrizer")
+    original = symmetrizer.symmetrize_monomial
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(symmetrizer, "symmetrize_monomial", counting)
+    for extra in ((), ("--json",)):
+        calls.clear()
+        code, _, err = run(capsys, *_symmetrize_s3(tmp_path), *extra)
+        assert (code, err, len(calls)) == (0, "", 1)
+
+
+def test_symmetrize_checks_the_norm_it_prints(capsys, tmp_path, monkeypatch):
+    symmetrizer = importlib.import_module("relsym.symmetrizer")
+    original = symmetrizer.symmetrize_monomial
+
+    def own_coefficient_off_by_one(group, chi, alpha):
+        poly = original(group, chi, alpha)
+        coefficients = dict(poly.coefficients)
+        coefficients[alpha] += 1
+        return symmetrizer.SymmetrizedPolynomial(poly.m, poly.d, coefficients)
+
+    monkeypatch.setattr(symmetrizer, "symmetrize_monomial", own_coefficient_off_by_one)
+    code, out, err = run(capsys, *_symmetrize_s3(tmp_path))
+    assert (code, out) == (3, "")
+    assert "norm mismatch for (1, 1, 0)" in err
+
+
 @pytest.mark.parametrize(
     "command",
     ["denumerant", "qchar", "decompose", "kostka", "character", "dim", "vanish", "symmetrize"],

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import cycle_type_of, permutation_of_cycle_type, subgroups, symmetric_group_elements
 import relsym.groups as groups
 from relsym.config import use_limits
@@ -58,6 +59,26 @@ def test_compose_and_inverse():
         assert pq[i] == p[q[i]]
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_compose_and_inverse_match_the_oracles(m):
+    elements = symmetric_group_elements(m)
+    for p in elements:
+        assert inverse(p) == oracles.inverse(p)
+        for q in elements:
+            assert compose(p, q) == oracles.compose(p, q)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_apply_to_exponents_is_the_literal_action(m):
+    alpha = tuple(range(10, 10 + m))
+    for p in symmetric_group_elements(m):
+        expected = tuple(alpha[p[i]] for i in range(m))
+        for given_alpha in (alpha, list(alpha)):
+            result = apply_to_exponents(p, given_alpha)
+            assert type(result) is tuple and len(result) == m
+            assert result == expected
+
+
 def test_cycle_type_and_canonical_permutation():
     assert cycle_type((1, 0, 3, 2, 4)) == (2, 2, 1)
     for lam in [(3,), (2, 2, 1), (4, 1), (1, 1, 1)]:
@@ -93,14 +114,18 @@ def test_conjugacy_classes_of_s4():
 
 def test_a_second_class_request_composes_nothing(monkeypatch):
     s4 = PermutationGroup.symmetric(4)
-    first = s4.conjugacy_classes()
+    getter = groups._getter
     calls = []
 
-    def counting_compose(p, q):
-        calls.append((p, q))
-        return compose(p, q)
+    def counting_getter(p):
+        calls.append(p)
+        return getter(p)
 
-    monkeypatch.setattr(groups, "compose", counting_compose)
+    # the class loop applies every permutation through a getter
+    monkeypatch.setattr(groups, "_getter", counting_getter)
+    first = s4.conjugacy_classes()
+    assert len(calls) > 0
+    calls.clear()
     assert s4.conjugacy_classes() == first
     assert calls == []
 
