@@ -35,9 +35,8 @@ _EXPORTS = tuple(
         ("errors", "ConsistencyError ResourceLimitError"),
         ("groups", "PermutationGroup"),
         ("irreducibles", "integer_irreducible_characters"),
-        ("partitions", "class_size dominates enumerate_gamma enumerate_partitions"
-         " multiplicity_factorial multiplicity_partition orbit_representatives"
-         " orbit_type_counts"),
+        ("partitions", "dominates enumerate_gamma enumerate_partitions multiplicity_factorial"
+         " multiplicity_partition orbit_representatives orbit_type_counts"),
         ("symmetrizer", "CharacterSpec SymmetrizedPolynomial dimension_by_character_sum"
          " dimension_by_rank norm_squared sn_character_spec symmetrize_monomial"),
         ("tableaux", "hook_lengths kostka"),

@@ -107,7 +107,7 @@ class ClassFunction(Record):
             raise ValueError(f"need a value for every cycle type of degree {self.m}")
 
     def __call__(self, lam: Sequence[int]) -> int | Fraction:
-        return self.values[check_partition(lam)]
+        return self.values[check_partition(lam, self.m)]
 
 
 def class_function_from_decomposition(

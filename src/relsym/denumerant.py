@@ -25,6 +25,7 @@ from operator import mul
 from . import characters  # runs on first use: only where a class function is built
 from .partitions import (
     Partition,
+    _check_int,
     _check_ints,
     _check_m_d,
     _cycle_types,
@@ -55,7 +56,7 @@ def denumerant(coins: Sequence[int], d: int) -> int:
 def _denumerant_counts(coins: Sequence[int], d: int) -> list[int]:
     """The denumerants of every amount 0..d, by the same dynamic program."""
     coins = check_coins(coins)
-    if d < 0:
+    if _check_int(d, "amount") < 0:
         raise ValueError("amount must be non-negative")
     counts = [1] + [0] * d
     for a in coins:

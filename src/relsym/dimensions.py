@@ -6,10 +6,11 @@ The three routes share nothing beyond the character table: a sum of
 restriction multiplicities over exponent orbits, a character inner product
 against the solution-count class function, and the irreducible multiplicity
 taken from the decomposition of that class function.  ``ROUTES`` names them
-in report order: route ``name`` is ``dim_via_<name>`` and fills the report
-field ``dim_<name>``.  Their agreement, and agreement with the exact-rank
-construction in the symmetrizer module, is the package's main acceptance
-surface; ``DimensionReport.checks`` lists each of those checks.
+in report order: route ``name`` is ``dim_via_<name>``, which checks its input
+and runs the core ``_<name>``, and fills the report field ``dim_<name>``;
+``dimension_report`` checks once and runs the cores.  Their agreement, and
+agreement with the exact-rank construction in the symmetrizer module, is the
+package's main acceptance surface; ``DimensionReport.checks`` lists them.
 
 A fourth route, ``dim_via_hook_denumerant``, needs no character value: the
 multiplicity is a denumerant with the hook lengths of pi as coins.  It is
@@ -62,20 +63,23 @@ def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the sum, over orbit types weighted by their
     orbit counts, of the trivial-restriction multiplicity on the stabilizer.
     Types whose stabilizer admits no trivial constituent contribute 0."""
-    pi = _check_args(m, d, pi)
-    total = 0
-    for shape, count in _orbit_types(m, d):
-        total += count * characters.restricted_trivial_inner_product(pi, shape)
-    return _degree(pi) * total
+    return _orbit_sum(m, d, _check_args(m, d, pi))
+
+
+def _orbit_sum(m: int, d: int, pi: Partition) -> int:
+    restricted = characters._restricted_trivial_cached
+    return _degree(pi) * sum(count * restricted(pi, shape) for shape, count in _orbit_types(m, d))
 
 
 def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the inner product of the character with the
     solution-count class function."""
-    pi = _check_args(m, d, pi)
-    pairing = characters.inner_product(
-        characters.irreducible_class_function(pi), _denumerant.denumerant_class_function(m, d)
-    )
+    return _inner_product(m, d, _check_args(m, d, pi))
+
+
+def _inner_product(m: int, d: int, pi: Partition) -> int:
+    chi = characters.ClassFunction(m, characters._row(pi))
+    pairing = characters.inner_product(chi, _denumerant.denumerant_class_function(m, d))
     if pairing.denominator != 1 or pairing < 0:
         raise ConsistencyError(
             f"inner product with the solution-count character is not a "
@@ -87,7 +91,10 @@ def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:
 def dim_via_decomposition(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the multiplicity of the character in the
     irreducible decomposition of the solution-count class function."""
-    pi = _check_args(m, d, pi)
+    return _decomposition(m, d, _check_args(m, d, pi))
+
+
+def _decomposition(m: int, d: int, pi: Partition) -> int:
     return _degree(pi) * _denumerant.denumerant_decomposition(m, d)[pi]
 
 
@@ -111,7 +118,10 @@ def is_nonvanishing(
     of 1 / (1 - q^h) over hook lengths h, one of which is 1.  The witness is
     built, not searched for: value i - 1 repeated pi_i times, in decreasing
     order, with the surplus d - b(pi) added to the first entry."""
-    pi = _check_args(m, d, pi, character_cap=False)
+    return _witness(d, _check_args(m, d, pi, character_cap=False))
+
+
+def _witness(d: int, pi: Partition) -> tuple[bool, ExponentVector | None]:
     surplus = d - _b(pi)
     if surplus < 0:
         return False, None
@@ -170,9 +180,9 @@ def dimension_report(
     """Compute every route in ``ROUTES``, the non-vanishing witness and, at
     small sizes, the exact rank; raise if any of the report's checks fails."""
     pi = _check_args(m, d, pi)
-    # by module-global name at call time, so a rebound ``dim_via_*`` is the one called
-    dims = [globals()[f"dim_via_{name}"](m, d, pi) for name in ROUTES]
-    _, witness = is_nonvanishing(m, d, pi)
+    # cores by module-global name when the report runs, so a rebound one is called
+    dims = [globals()[f"_{name}"](m, d, pi) for name in ROUTES]
+    _, witness = _witness(d, pi)
     rank = None
     if verify_rank and rank_verification_applies(m, d):
         spec = symmetrizer.sn_character_spec(m, pi)

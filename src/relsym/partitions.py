@@ -32,6 +32,13 @@ def _check_ints(values: Sequence[int], field: str) -> tuple[int, ...]:
         raise ValueError(f"{field} entries must be integers, got {values}") from None
 
 
+def _check_int(value: int, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_partition(parts: Sequence[int], weight: int | None = None) -> Partition:
     """Validate and normalize a partition given as any integer sequence;
     ``weight``, when given, pins the sum of the parts."""
@@ -157,9 +164,9 @@ def _cycle_types(m: int) -> tuple[Partition, ...]:
 def enumerate_partitions(m: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of ``m`` in reverse-lexicographic order, starting at
     ``(m,)``.  ``max_length`` restricts the number of parts."""
-    if m < 0:
+    if _check_int(m, "m") < 0:
         raise ValueError("cannot partition a negative integer")
-    if max_length is not None and max_length < 1:
+    if max_length is not None and _check_int(max_length, "max_length") < 1:
         raise ValueError("max_length must be positive")
     return [p for _, p in _partition_walk(m, m if max_length is None else max_length)]
 
@@ -179,9 +186,9 @@ def _vectors_lex(m: int, d: int) -> Iterator[ExponentVector]:
 
 def _check_m_d(m: int, d: int = 0) -> None:
     """The checks on m variables (the degree of S_m) and a degree d (0 passes)."""
-    if m < 1:
+    if _check_int(m, "m") < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if d < 0:
+    if _check_int(d, "d") < 0:
         raise ValueError(f"d must be non-negative, got {d}")
 
 
@@ -226,15 +233,6 @@ def orbit_type_counts(m: int, d: int) -> Counter:
     """How many orbits of Gamma(m, d) have each multiplicity partition (orbit
     type), counted from the streamed representatives."""
     return Counter(dict(_orbit_types(m, d)))
-
-
-def class_size(lam: Sequence[int]) -> int:
-    """Number of permutations with cycle type ``lam`` in the symmetric group
-    on ``sum(lam)`` points."""
-    lam = check_partition(lam)
-    if not lam:
-        raise ValueError("cycle type of a permutation in a non-trivial group expected")
-    return _class_size(lam)
 
 
 @lru_cache(maxsize=512)  # the 271 classes of m <= 12, the default character cap, fit

@@ -25,7 +25,7 @@ from relsym.dimensions import (
     is_nonvanishing,
 )
 from relsym.groups import PermutationGroup
-from relsym.partitions import class_size, dominates, enumerate_partitions
+from relsym.partitions import _class_size, dominates, enumerate_partitions
 from relsym.partitions import enumerate_gamma
 from relsym.irreducibles import integer_irreducible_characters
 from relsym.symmetrizer import (
@@ -130,7 +130,7 @@ def test_character_table_orthogonality():
     for m in range(1, 9):
         table = character_table(m)
         parts = enumerate_partitions(m)
-        sizes = {lam: class_size(lam) for lam in parts}
+        sizes = {lam: _class_size(lam) for lam in parts}
         order = math.factorial(m)
         identity = (1,) * m
         for pi in parts:

@@ -18,7 +18,7 @@ from relsym.characters import (
 )
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
-from relsym.partitions import class_size, enumerate_partitions, multiplicity_factorial
+from relsym.partitions import _class_size, enumerate_partitions, multiplicity_factorial
 from relsym.tableaux import kostka
 
 
@@ -65,7 +65,7 @@ def test_table_matches_coset_peeling_oracle(m):
 def test_row_orthogonality(m):
     table = character_table(m)
     parts = enumerate_partitions(m)
-    sizes = {lam: class_size(lam) for lam in parts}
+    sizes = {lam: _class_size(lam) for lam in parts}
     order = math.factorial(m)
     for pi in parts:
         for mu in parts:

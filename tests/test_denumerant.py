@@ -100,6 +100,15 @@ def test_class_function_examples():
         assert q41.values[lam] == sum(1 for part in lam if part == 1)
 
 
+def test_class_function_checks_the_degree_of_a_cycle_type():
+    q = denumerant_class_function(3, 2)
+    assert q([2, 1]) == 2
+    # a cycle type of another degree once raised KeyError
+    with pytest.raises(ValueError) as info:
+        q((2,))
+    assert str(info.value) == "(2,) is a partition of 2, not 3"
+
+
 @pytest.mark.parametrize("m,d", [(1, 0), (1, 7), (3, 2), (4, 3), (5, 4)])
 def test_trace_identity_small(m, d):
     assert verify_trace_identity(m, d, denumerant_class_function(m, d).values)

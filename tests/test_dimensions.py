@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ from oracles import brute_force_witness
 import relsym.dimensions as dimensions
 import relsym.partitions as partitions
 import relsym.symmetrizer as symmetrizer
+from relsym.characters import restricted_trivial_inner_product
 from relsym.config import use_limits
 from relsym.dimensions import (
     ROUTES,
@@ -164,8 +166,8 @@ def _assert_report_fails(failed):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_report_names_a_wrong_route(monkeypatch, route):
-    right = getattr(dimensions, f"dim_via_{route}")
-    monkeypatch.setattr(dimensions, f"dim_via_{route}", lambda m, d, pi: right(m, d, pi) + 1)
+    right = getattr(dimensions, f"_{route}")
+    monkeypatch.setattr(dimensions, f"_{route}", lambda m, d, pi: right(m, d, pi) + 1)
     if route == ROUTES[0]:
         # the first route is the report's dimension, which the rank checks too
         others = [f"{route} equals {other}" for other in ROUTES[1:]]
@@ -175,7 +177,7 @@ def test_report_names_a_wrong_route(monkeypatch, route):
 
 
 def test_report_names_a_missing_witness(monkeypatch):
-    monkeypatch.setattr(dimensions, "is_nonvanishing", lambda m, d, pi: (False, None))
+    monkeypatch.setattr(dimensions, "_witness", lambda d, pi: (False, None))
     _assert_report_fails(["non-vanishing matches positivity"])
 
 
@@ -186,15 +188,16 @@ def test_report_names_a_wrong_rank(monkeypatch):
 
 def test_routes_are_looked_up_when_the_report_runs(monkeypatch):
     calls = []
-    right = dimensions.dim_via_inner_product
+    right = dimensions._inner_product
 
     def counting(m, d, pi):
         calls.append((m, d, pi))
         return right(m, d, pi)
 
-    monkeypatch.setattr(dimensions, "dim_via_inner_product", counting)
-    dimension_report(3, 2, (2, 1))
+    monkeypatch.setattr(dimensions, "_inner_product", counting)
+    dimension_report(3, 2, [2, 1])
     dimension_report(4, 3, (2, 2), verify_rank=True)
+    # the core gets the partition as the report checked it, a tuple
     assert calls == [(3, 2, (2, 1)), (4, 3, (2, 2))]
 
 
@@ -203,6 +206,78 @@ def test_every_route_has_a_report_field():
     for name in ROUTES:
         assert f"dim_{name}" in fields
         assert callable(getattr(dimensions, f"dim_via_{name}"))
+        assert callable(getattr(dimensions, f"_{name}"))
+
+
+def _entries(functions, run):
+    """How many times each function is entered while ``run()`` runs, under
+    whatever name any module binds it to."""
+    counts = {f.__code__: 0 for f in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return [counts[f.__code__] for f in functions]
+
+
+def test_one_report_checks_its_input_once():
+    partitions._orbit_types.cache_clear()
+    checks = [dimensions._check_args, partitions.check_partition]
+    assert _entries(checks, lambda: dimension_report(7, 9, (4, 2, 1))) == [1, 1]
+
+
+# one malformed input per class, with the message every public name gives;
+# a float d once passed, and is_nonvanishing answered (True, (2.5, 0, 0))
+_MALFORMED = [
+    pytest.param((0, 2, ()), "m must be at least 1, got 0", id="m-below-1"),
+    pytest.param((3.0, 2, (2, 1)), "m must be an integer, got 3.0", id="m-not-an-int"),
+    pytest.param((3, -1, (2, 1)), "d must be non-negative, got -1", id="d-negative"),
+    pytest.param((3, 2.5, (2, 1)), "d must be an integer, got 2.5", id="d-not-an-int"),
+    pytest.param((4, 2, (2, 1)), "(2, 1) is a partition of 3, not 4", id="wrong-weight"),
+    pytest.param((3, 2, (1, 2)), "partition parts must be weakly decreasing, got (1, 2)",
+                 id="not-decreasing"),
+    pytest.param((3, 2, (2, 1, 0)), "partition parts must be positive, got (2, 1, 0)",
+                 id="zero-part"),
+    pytest.param((3, 2, (2.0, 1)), "partition entries must be integers, got (2.0, 1)",
+                 id="part-not-an-int"),
+]
+
+
+@pytest.mark.parametrize("args, message", _MALFORMED)
+@pytest.mark.parametrize("public", [
+    dim_via_orbit_sum, dim_via_inner_product, dim_via_decomposition, dim_via_hook_denumerant,
+    is_nonvanishing, dimension_report,
+], ids=lambda f: f.__name__)
+def test_every_public_name_rejects_malformed_input_with_one_message(public, args, message):
+    with pytest.raises(ValueError) as info:
+        public(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(((2, 1), (2, 2)), "(2, 2) is a partition of 4, not 3", id="wrong-weight"),
+    pytest.param(((1, 2), (2, 1)), "partition parts must be weakly decreasing, got (1, 2)",
+                 id="pi-not-decreasing"),
+    pytest.param(((2, 1), (1, 2)), "partition parts must be weakly decreasing, got (1, 2)",
+                 id="mu-not-decreasing"),
+    pytest.param(((2, 1), (3, 0)), "partition parts must be positive, got (3, 0)",
+                 id="zero-part"),
+    pytest.param(((2.0, 1), (2, 1)), "partition entries must be integers, got (2.0, 1)",
+                 id="pi-not-ints"),
+    pytest.param(((2, 1), (2, 1.0)), "partition entries must be integers, got (2, 1.0)",
+                 id="mu-not-ints"),
+])
+def test_restricted_trivial_inner_product_rejects_malformed_input(args, message):
+    with pytest.raises(ValueError) as info:
+        restricted_trivial_inner_product(*args)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("m", range(1, 9))

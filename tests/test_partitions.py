@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import _partitions_desc, brute_force_orbit_types
+from relsym.characters import character_table
 from relsym.config import use_limits
 from relsym.denumerant import denumerant
 from relsym.errors import ResourceLimitError
 from relsym.partitions import (
+    _class_size,
     _cycle_types,
     _orbit_types,
     _partition_walk,
     _walked_partitions,
     check_partition,
-    class_size,
     dominates,
     enumerate_gamma,
     enumerate_partitions,
@@ -25,6 +26,7 @@ from relsym.partitions import (
     orbit_representatives,
     orbit_type_counts,
 )
+from relsym.symmetrizer import dimension_by_rank, sn_character_spec
 from relsym.tableaux import count_fillings, kostka
 
 
@@ -188,14 +190,14 @@ def test_orbit_type_counts_cover_gamma(m, d):
 
 
 def test_class_size_examples():
-    assert class_size((1, 1, 1)) == 1
-    assert class_size((2, 1, 1)) == 6
-    assert class_size((3,)) == 2
+    assert _class_size((1, 1, 1)) == 1
+    assert _class_size((2, 1, 1)) == 6
+    assert _class_size((3,)) == 2
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_class_sizes_sum_to_group_order(m):
-    assert sum(class_size(lam) for lam in enumerate_partitions(m)) == math.factorial(m)
+    assert sum(_class_size(lam) for lam in enumerate_partitions(m)) == math.factorial(m)
 
 
 def test_class_size_matches_direct_count():
@@ -204,7 +206,7 @@ def test_class_size_matches_direct_count():
     for m in range(1, 6):
         counted = class_sizes_by_counting(m)
         for lam in enumerate_partitions(m):
-            assert class_size(lam) == counted[lam]
+            assert _class_size(lam) == counted[lam]
 
 
 @pytest.mark.parametrize("m", range(0, 21))
@@ -232,6 +234,31 @@ def test_partition_walk_matches_the_oracle(m):
 def test_validators_reject_non_integers(call, args):
     with pytest.raises(ValueError, match="must be integers"):
         call(*args)
+
+
+def _rank_of_s3_at(d):
+    spec = sn_character_spec(3, (2, 1))
+    return dimension_by_rank(spec.group, spec, d)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: denumerant((1, 2), 2.5), "amount must be an integer, got 2.5"),
+        (lambda: character_table(3.0), "m must be an integer, got 3.0"),
+        (lambda: enumerate_partitions(2.5), "m must be an integer, got 2.5"),
+        (lambda: enumerate_partitions(3, 2.5), "max_length must be an integer, got 2.5"),
+        (lambda: _rank_of_s3_at(2.5), "d must be an integer, got 2.5"),
+    ],
+    ids=["denumerant", "character_table", "enumerate_partitions",
+         "enumerate_partitions-max_length", "dimension_by_rank"],
+)
+def test_scalar_arguments_reject_non_integers(call, message):
+    # each once raised TypeError from deep inside; the dimension names are
+    # in test_dimensions.py's table of malformed input
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_enumerate_gamma_takes_many_variables():

@@ -63,9 +63,8 @@ _PUBLIC = {
     "groups": ("PermutationGroup",),
     "irreducibles": ("integer_irreducible_characters",),
     "partitions": (
-        "class_size", "dominates", "enumerate_gamma", "enumerate_partitions",
-        "multiplicity_factorial", "multiplicity_partition", "orbit_representatives",
-        "orbit_type_counts",
+        "dominates", "enumerate_gamma", "enumerate_partitions", "multiplicity_factorial",
+        "multiplicity_partition", "orbit_representatives", "orbit_type_counts",
     ),
     "symmetrizer": (
         "CharacterSpec", "SymmetrizedPolynomial", "dimension_by_character_sum",
@@ -190,7 +189,7 @@ def test_public_names_are_their_layers_objects():
     )
     out = json.loads(_fresh(code))
     names = sorted(name for name, _ in pairs)
-    assert len(names) == 42
+    assert len(names) == 41
     assert out["wrong"] == []
     assert out["star"] == names
     assert set(names) <= set(out["dir"])
