@@ -25,11 +25,10 @@ _EXPORTS = tuple(
     (name, layer)
     for layer, names in (
         ("characters", "ClassFunction character_table induced_trivial_character inner_product"
-         " irreducible_character_value irreducible_class_function"
-         " restricted_trivial_inner_product"),
+         " irreducible_character_value restricted_trivial_inner_product"),
         ("config", "limits use_limits"),
-        ("denumerant", "denumerant denumerant_by_induced_characters denumerant_class_function"
-         " denumerant_decomposition hook_decomposition"),
+        ("denumerant", "denumerant denumerant_class_function denumerant_decomposition"
+         " hook_decomposition"),
         ("dimensions", "DimensionReport dim_via_decomposition dim_via_hook_denumerant"
          " dim_via_inner_product dim_via_orbit_sum dimension_report is_nonvanishing"),
         ("errors", "ConsistencyError ResourceLimitError"),

@@ -125,11 +125,6 @@ def class_function_from_decomposition(
     return ClassFunction(m, values)
 
 
-def irreducible_class_function(pi: Sequence[int]) -> ClassFunction:
-    pi = check_partition(pi)
-    return ClassFunction(sum(pi), _row(pi))
-
-
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """The usual character inner product, summed by class.
 

@@ -4,11 +4,13 @@ count read as a symmetric group character.
 A permutation with cycle lengths (a1, ..., an) fixes exactly that many
 exponent vectors of degree d, so the count is the trace of the permutation
 acting on degree-d monomials: a permutation character of the symmetric group
-on m = a1 + ... + an points.  This module computes it three independent
-ways: by dynamic programming over the coin values, as a sum of characters
-induced from the stabilizer Young subgroups (one per orbit type of exponent
-vectors), and through the irreducible multiplicities that sum gives.
-Agreement of all three is the package's central cross-check.
+on m = a1 + ... + an points.  This module computes it by dynamic
+programming over the coin values, one value per cycle type, and its
+irreducible multiplicities by Young's rule: the orbits of one type of
+exponent vectors carry the character induced from that type's Young
+subgroup, whose multiplicities are the Kostka column K(-, type).  Expanded
+back into a class function, those multiplicities must give the values of
+the coin DP.
 
 The same equation with the hook lengths of a partition pi as coins gives
 those multiplicities directly, one coin DP per pi (``hook_decomposition``);
@@ -99,20 +101,6 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
             stack.append(counts)
         values.append(sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1])))
     return characters.ClassFunction(m, dict(zip(classes, values, strict=True)))
-
-
-def denumerant_by_induced_characters(m: int, d: int) -> ClassFunction:
-    """Reassemble the denumerant class function from characters induced from
-    exponent-vector stabilizers: the sum, over the orbit types of
-    Gamma(m, d), of the orbit count times the character induced from the
-    type's Young subgroup."""
-    classes = _cycle_types(m)
-    totals = [0] * len(classes)
-    for shape, count in _orbit_types(m, d):
-        induced = characters.induced_trivial_character(shape)
-        for i, lam in enumerate(classes):
-            totals[i] += count * induced.values[lam]
-    return characters.ClassFunction(m, dict(zip(classes, totals)))
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:

@@ -1,11 +1,13 @@
 """Dimension of the symmetrized degree-d polynomial space for an irreducible
-character of the full symmetric group, three independent ways, plus the
+character of the full symmetric group, by three routes, plus the
 non-vanishing criterion.
 
-The three routes share nothing beyond the character table: a sum of
-restriction multiplicities over exponent orbits, a character inner product
-against the solution-count class function, and the irreducible multiplicity
-taken from the decomposition of that class function.  ``ROUTES`` names them
+The three routes read different things.  The orbit sum reads the orbit
+types of ``partitions._orbit_types`` and restriction multiplicities, which
+are character values averaged over Young subgroups.  The inner product reads
+one character row and the solution-count class function, a coin DP over
+each cycle type.  The decomposition reads the same orbit types and the
+Kostka columns K(-, type), and no character value.  ``ROUTES`` names them
 in report order: route ``name`` is ``dim_via_<name>``, which checks its input
 and runs the core ``_<name>``, and fills the report field ``dim_<name>``;
 ``dimension_report`` checks once and runs the cores.  Their agreement, and

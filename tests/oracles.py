@@ -4,7 +4,8 @@ Nothing here imports the computation paths under test: solution counts come
 from nested enumeration, series multiplication and a coin DP over every part
 of every cycle type, fixed-point counts from filtering all exponent vectors,
 tableaux and their counts from filtering raw fillings,
-character tables from coset actions plus Gram-Schmidt peeling, ranks
+character tables from coset actions plus Gram-Schmidt peeling, induced
+characters from assigning cycles to blocks, ranks
 from plain rational Gaussian elimination, symmetrized-monomial ranks from
 the whole dense coefficient matrix, subgroup lists from closing
 element sets under products, and orbit types and non-vanishing witnesses
@@ -295,6 +296,38 @@ def coset_induced_trivial_values(mu, m):
             for coset in cosets
         )
     return values
+
+
+def induced_trivial_by_assignment(mu, lam):
+    """The value on cycle type ``lam`` of the permutation character on the
+    cosets of the Young subgroup of shape ``mu``, as the number of ways to
+    hand each labelled cycle of ``lam`` to one of the blocks of ``mu`` so
+    that block i receives exactly mu[i] points.  A coset is an ordered
+    split of the points into blocks of sizes mu, and a permutation fixes it
+    exactly when each block is a union of its cycles.  A DP over the
+    cycles, whose state is the tuple of remaining block capacities."""
+    assert sum(mu) == sum(lam)
+    ways = {tuple(mu): 1}
+    for length in lam:
+        placed = Counter()
+        for room, count in ways.items():
+            for i, left in enumerate(room):
+                if left >= length:
+                    placed[room[:i] + (left - length,) + room[i + 1 :]] += count
+        ways = placed
+    # every cycle is placed, so every surviving state has no room left
+    return sum(ways.values())
+
+
+def orbit_sum_by_assignment(m, types):
+    """The denumerant class function of degree m by Young's rule, read
+    numerically: for each cycle type, the sum over the ``(type, count)``
+    pairs of the orbit types of count times
+    :func:`induced_trivial_by_assignment`."""
+    return {
+        lam: sum(count * induced_trivial_by_assignment(mu, lam) for mu, count in types)
+        for lam in _partitions_desc(m)
+    }
 
 
 def literal_induced_class_function(m, d):

@@ -4,16 +4,20 @@ import threading
 
 import pytest
 
-from oracles import coset_induced_trivial_values, hook_length_dimension, oracle_character_table
+from oracles import (
+    _partitions_desc,
+    coset_induced_trivial_values,
+    hook_length_dimension,
+    induced_trivial_by_assignment,
+    oracle_character_table,
+)
 from relsym.characters import (
     ClassFunction,
     _mn_value,
     character_table,
-    class_function_from_decomposition,
     induced_trivial_character,
     inner_product,
     irreducible_character_value,
-    irreducible_class_function,
     restricted_trivial_inner_product,
 )
 from relsym.config import use_limits
@@ -86,31 +90,24 @@ def test_degrees(m):
     assert total == math.factorial(m)
 
 
+def _irreducible(pi):
+    m = sum(pi)
+    return ClassFunction(m, character_table(m)[pi])
+
+
 def test_inner_product_examples():
     for m in range(1, 8):
         for pi in enumerate_partitions(m):
-            chi = irreducible_class_function(pi)
+            chi = _irreducible(pi)
             assert inner_product(chi, chi) == 1
-    assert inner_product(
-        irreducible_class_function((3,)), irreducible_class_function((2, 1))
-    ) == 0
-
-
-def test_irreducible_class_function_is_the_one_term_decomposition():
-    for m in range(1, 7):
-        for pi in enumerate_partitions(m):
-            chi = irreducible_class_function(pi)
-            expected = class_function_from_decomposition(m, {pi: 1})
-            assert chi == expected
-            assert repr(chi) == repr(expected)
-            assert list(chi.values) == list(expected.values)
+    assert inner_product(_irreducible((3,)), _irreducible((2, 1))) == 0
 
 
 def test_inner_product_with_solution_counts():
     from relsym.denumerant import denumerant_class_function
 
     q2 = denumerant_class_function(3, 2)
-    assert inner_product(q2, irreducible_class_function((2, 1))) == 2
+    assert inner_product(q2, _irreducible((2, 1))) == 2
 
 
 def test_inner_product_rejects_degree_mismatch():
@@ -148,6 +145,20 @@ def test_induced_trivial_matches_coset_counting(m):
         built = induced_trivial_character(mu)
         counted = coset_induced_trivial_values(mu, m)
         assert {lam: int(v) for lam, v in built.values.items()} == counted
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_induced_trivial_matches_cycle_to_block_assignments(m):
+    for mu in enumerate_partitions(m):
+        assigned = {lam: induced_trivial_by_assignment(mu, lam) for lam in _partitions_desc(m)}
+        assert induced_trivial_character(mu).values == assigned
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_assignment_oracle_matches_coset_counting(m):
+    for mu in _partitions_desc(m):
+        assigned = {lam: induced_trivial_by_assignment(mu, lam) for lam in _partitions_desc(m)}
+        assert assigned == coset_induced_trivial_values(mu, m)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -193,11 +204,6 @@ def test_character_table_concurrent_construction():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(r == expected for r in results)
-
-
-def test_irreducible_class_function_rejects_the_empty_partition():
-    with pytest.raises(ValueError):
-        irreducible_class_function(())
 
 
 @pytest.mark.parametrize("m", range(1, 15))

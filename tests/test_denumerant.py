@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     brute_force_denumerant,
+    brute_force_orbit_types,
     denumerant_series,
     hook_length_dimension,
     literal_induced_class_function,
+    orbit_sum_by_assignment,
     prefix_walk_class_function,
     verify_trace_identity,
 )
@@ -22,12 +24,11 @@ from relsym.characters import (
 from relsym.denumerant import (
     _denumerant_counts,
     denumerant,
-    denumerant_by_induced_characters,
     denumerant_class_function,
     denumerant_decomposition,
     hook_decomposition,
 )
-from relsym.partitions import enumerate_partitions, gamma_size
+from relsym.partitions import _orbit_types, enumerate_partitions, gamma_size
 
 # the package re-exports the function denumerant under the module's name
 denumerant_module = importlib.import_module("relsym.denumerant")
@@ -153,19 +154,23 @@ def test_one_coin_pass_per_cycle_type_at_most(monkeypatch, m, d):
     assert 0 < calls <= len(_cycle_types(m))
 
 
+def _by_assignment(m, d):
+    """Young's rule read numerically: the orbit types counted by brute
+    force, each weighted by its count of cycle-to-block assignments."""
+    return orbit_sum_by_assignment(m, brute_force_orbit_types(m, d).items())
+
+
 def test_induced_route_examples():
-    assert denumerant_by_induced_characters(3, 2) == denumerant_class_function(3, 2)
-    got = denumerant_by_induced_characters(2, 1)
-    assert int(got.values[(1, 1)]) == 2
-    assert int(got.values[(2,)]) == 0
+    assert _by_assignment(3, 2) == denumerant_class_function(3, 2).values
+    assert _by_assignment(2, 1) == {(2,): 0, (1, 1): 2}
     for m in (1, 2, 4):
-        assert denumerant_by_induced_characters(m, 0) == _trivial(m)
+        assert _by_assignment(m, 0) == _trivial(m).values
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 @pytest.mark.parametrize("d", range(0, 7))
 def test_literal_route_matches_collapsed(m, d):
-    collapsed = denumerant_by_induced_characters(m, d)
+    collapsed = denumerant_class_function(m, d)
     assert collapsed.values == literal_induced_class_function(m, d)
 
 
@@ -182,10 +187,12 @@ def test_decomposition_examples():
 @pytest.mark.parametrize("d", range(0, 9))
 def test_three_routes_agree(m, d):
     by_counting = denumerant_class_function(m, d)
-    by_induction = denumerant_by_induced_characters(m, d)
     multiplicities = denumerant_decomposition(m, d)
     by_decomposition = class_function_from_decomposition(m, multiplicities)
-    assert by_counting == by_induction == by_decomposition
+    assert by_counting == by_decomposition
+    by_assignment = _by_assignment(m, d)
+    for lam in enumerate_partitions(m):
+        assert by_counting.values[lam] == by_assignment[lam] == denumerant(lam, d)
 
 
 def test_decomposition_rejects_a_partition_of_another_weight():
@@ -197,7 +204,10 @@ def test_decomposition_rejects_a_partition_of_another_weight():
 def test_three_routes_agree_at_larger_sizes(m, d):
     by_counting = denumerant_class_function(m, d)
     by_decomposition = class_function_from_decomposition(m, denumerant_decomposition(m, d))
-    assert by_counting == denumerant_by_induced_characters(m, d) == by_decomposition
+    assert by_counting == by_decomposition
+    # the types from the library: by brute force they would take every
+    # multiset of m exponents from 0..d; tests/test_partitions.py checks them
+    assert by_counting.values == orbit_sum_by_assignment(m, _orbit_types(m, d))
 
 
 def test_prefix_shared_class_function_matches_per_class_counts():

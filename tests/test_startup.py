@@ -47,13 +47,12 @@ def test_cold_import_stays_light_and_complete():
 _PUBLIC = {
     "characters": (
         "ClassFunction", "character_table", "induced_trivial_character", "inner_product",
-        "irreducible_character_value", "irreducible_class_function",
-        "restricted_trivial_inner_product",
+        "irreducible_character_value", "restricted_trivial_inner_product",
     ),
     "config": ("limits", "use_limits"),
     "denumerant": (
-        "denumerant", "denumerant_by_induced_characters", "denumerant_class_function",
-        "denumerant_decomposition", "hook_decomposition",
+        "denumerant", "denumerant_class_function", "denumerant_decomposition",
+        "hook_decomposition",
     ),
     "dimensions": (
         "DimensionReport", "dim_via_decomposition", "dim_via_hook_denumerant",
@@ -189,7 +188,7 @@ def test_public_names_are_their_layers_objects():
     )
     out = json.loads(_fresh(code))
     names = sorted(name for name, _ in pairs)
-    assert len(names) == 41
+    assert len(names) == 39
     assert out["wrong"] == []
     assert out["star"] == names
     assert set(names) <= set(out["dir"])
