@@ -20,20 +20,19 @@ one type.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
-from .config import Record, check_cap
+from .config import Record, _setattr, check_cap
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
+    _check_int,
     _check_m_d,
     _class_size,
     _cycle_types,
     check_partition,
-    enumerate_partitions,
     multiplicity_factorial,
 )
 from .tableaux import _kostka_column, _layer_walk
@@ -75,7 +74,7 @@ def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:
 
 def _classes(m: int) -> tuple[Partition, ...]:
     """The classes of degree ``m``, once ``m`` is within the character cap."""
-    _check_m_d(m)
+    m, _ = _check_m_d(m)
     check_cap("max_character_table_m", m, "the degree m of a character row or table is")
     return _cycle_types(m)
 
@@ -101,6 +100,8 @@ class ClassFunction(Record):
     __slots__ = ("m", "values")  # values: Mapping[Partition, int | Fraction]
 
     def _validate(self) -> None:
+        # a plain int: m = True would key the cached classes of degree 1
+        _setattr(self, "m", _check_int(self.m, "m"))
         # no sets of the classes: at m = 36 two of them set qchar's peak memory
         classes = _cycle_types(self.m)
         if len(self.values) != len(classes) or not all(map(self.values.__contains__, classes)):
@@ -113,12 +114,13 @@ class ClassFunction(Record):
 def class_function_from_decomposition(
     m: int, multiplicities: Mapping[Partition, int]
 ) -> ClassFunction:
-    """Expand irreducible multiplicities back into a class function: the sum
-    of mult * chi^pi, one row at a time."""
+    """Expand integer irreducible multiplicities back into a class function:
+    the sum of mult * chi^pi, one row at a time."""
     classes = _classes(m)
     values = dict.fromkeys(classes, 0)
     for pi, mult in multiplicities.items():
         pi = check_partition(pi, m)
+        mult = _check_int(mult, f"the multiplicity of {pi}")
         if mult:
             for lam, v in _row(pi, classes).items():
                 values[lam] += mult * v
@@ -133,25 +135,38 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """
     if phi.m != psi.m:
         raise ValueError("cannot pair class functions of different degrees")
-    total = sum(_class_size(lam) * v * psi.values[lam] for lam, v in phi.values.items())
+    classes = _cycle_types(phi.m)
+    total = _class_sum(classes, map(phi.values.__getitem__, classes),
+                       map(psi.values.__getitem__, classes))
     return Fraction(total, math.factorial(phi.m))
 
 
-def young_subgroup_classes(mu: Partition) -> Iterator[tuple[Partition, int]]:
-    """Cycle types of the Young subgroup of shape ``mu`` together with the
-    number of subgroup elements of that type.
+def _class_sum(classes: Sequence[Partition], phi: Iterable, psi: Iterable) -> int:
+    """Sum over ``classes`` of |K| * phi(K) * psi(K), with the values of phi
+    and psi given in the order of ``classes``: m! times their inner product."""
+    return sum(_class_size(lam) * a * b for lam, a, b in zip(classes, phi, psi, strict=True))
+
+
+@lru_cache(maxsize=512)  # every shape of m <= 12, the default character cap, fits
+def young_subgroup_classes(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Cycle types of the Young subgroup of shape ``mu``, each once, together
+    with the number of subgroup elements of that type.
 
     An element is a tuple of one permutation per factor; its cycle type is
     the merge of the factor cycle types and its count the product of the
-    factor class sizes.
+    factor class sizes.  The factors are merged in one at a time, and equal
+    merged types are summed at each step.
     """
-    per_factor = [
-        [(lam, _class_size(lam)) for lam in enumerate_partitions(part)] for part in mu
-    ]
-    for combo in product(*per_factor):
-        merged = tuple(sorted((p for lam, _ in combo for p in lam), reverse=True))
-        count = math.prod(size for _, size in combo)
-        yield merged, count
+    merged = {(): 1}
+    for part in mu:
+        step: dict[Partition, int] = {}
+        for lam in _cycle_types(part):
+            size = _class_size(lam)
+            for prev, count in merged.items():
+                key = tuple(sorted(prev + lam, reverse=True))
+                step[key] = step.get(key, 0) + count * size
+        merged = step
+    return tuple(merged.items())
 
 
 @lru_cache(maxsize=None)

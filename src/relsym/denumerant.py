@@ -16,11 +16,18 @@ The same equation with the hook lengths of a partition pi as coins gives
 those multiplicities directly, one coin DP per pi (``hook_decomposition``);
 the Kostka-weighted orbit types (``denumerant_decomposition``) are its
 independent cross-check.
+
+Neither the solution counts nor the decomposition depends on a character,
+so each is computed once per (m, d) and kept in a bounded cache
+(``_solution_counts``, ``_young_decomposition``) that every dimension
+report of that (m, d) reads.  The public names check (m, d) on every call
+and hand out a fresh dict, never the cached one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -74,7 +81,17 @@ def _add_coin(counts: list[int], a: int) -> None:
 
 def denumerant_class_function(m: int, d: int) -> ClassFunction:
     """The trace function of degree-d monomial permutation: its value on a
-    cycle type equals the denumerant with that type as coin system.
+    cycle type equals the denumerant with that type as coin system."""
+    m, d = _check_m_d(m, d)
+    return characters.ClassFunction(
+        m, dict(zip(_cycle_types(m), _solution_counts(m, d), strict=True))
+    )
+
+
+@lru_cache(maxsize=128)  # every m <= 8, d <= 12 fits, in any order
+def _solution_counts(m: int, d: int) -> tuple[int, ...]:
+    """The values of :func:`denumerant_class_function` for checked ints m
+    and d, in the order of ``_cycle_types(m)``.
 
     Every cycle type is P + 1^k, with P its parts above 1.  The k coins of
     value 1 pay an amount i in C(i + k - 1, k - 1) ways, so the value is
@@ -84,7 +101,6 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
     of d).  Cycle types sharing a prefix of P share its coin DP, kept on a
     stack along the walk.
     """
-    _check_m_d(m, d)
     ones = [[0] * d + [1]]  # ones[k]: the counts for 1^k, reversed
     for _ in range(m):
         ones.append(list(accumulate(reversed(ones[-1])))[::-1])
@@ -100,14 +116,20 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
             _add_coin(counts, a)
             stack.append(counts)
         values.append(sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1])))
-    return characters.ClassFunction(m, dict(zip(classes, values, strict=True)))
+    return tuple(values)
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
     """Multiplicity of each irreducible character in the denumerant class
     function: the Kostka columns K(-, type) of the orbit types, weighted by
     their orbit counts."""
-    _check_m_d(m, d)
+    return dict(_young_decomposition(*_check_m_d(m, d)))
+
+
+@lru_cache(maxsize=128)  # as for _solution_counts
+def _young_decomposition(m: int, d: int) -> dict[Partition, int]:
+    """The multiplicities of :func:`denumerant_decomposition` for checked
+    ints m and d, shared by every caller: it is read, never handed out."""
     out = dict.fromkeys(_cycle_types(m), 0)
     for shape, count in _orbit_types(m, d):
         for pi, k in _kostka_column(shape).items():
@@ -128,5 +150,5 @@ def hook_decomposition(m: int, d: int) -> dict[Partition, int]:
     """The multiplicities of :func:`denumerant_decomposition` by
     :func:`_hook_multiplicity`: one small coin DP per partition of m, and no
     orbit, Kostka number or character value."""
-    _check_m_d(m, d)
+    m, d = _check_m_d(m, d)
     return {pi: _hook_multiplicity(pi, d) for pi in _cycle_types(m)}

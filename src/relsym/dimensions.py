@@ -14,6 +14,12 @@ and runs the core ``_<name>``, and fills the report field ``dim_<name>``;
 agreement with the exact-rank construction in the symmetrizer module, is the
 package's main acceptance surface; ``DimensionReport.checks`` lists them.
 
+Only the character depends on pi, so a report shares everything else with
+the reports of the same (m, d): the orbit types, the solution counts and
+the decomposition, each cached once per (m, d), and the cycle types of each
+Young subgroup, cached once per shape mu.  The cores return multiplicities;
+the report and each ``dim_via_<name>`` scale them by f^pi, computed once.
+
 A fourth route, ``dim_via_hook_denumerant``, needs no character value: the
 multiplicity is a denumerant with the hook lengths of pi as coins.  It is
 not in ``ROUTES`` yet, so the report's fields are unchanged.
@@ -32,6 +38,7 @@ from .partitions import (
     ExponentVector,
     Partition,
     _check_m_d,
+    _cycle_types,
     _orbit_types,
     check_partition,
     gamma_size,
@@ -51,60 +58,69 @@ def _degree(pi: Partition) -> int:
     return math.factorial(sum(pi)) // math.prod(_hooks(pi))
 
 
-def _check_args(m: int, d: int, pi: Sequence[int], character_cap: bool = True) -> Partition:
+def _check_args(
+    m: int, d: int, pi: Sequence[int], character_cap: bool = True
+) -> tuple[int, int, Partition]:
     """The checks on (m, d) and pi, then, for a route that reads character
-    values, the character cap, before any of its work."""
-    _check_m_d(m, d)
+    values, the character cap, before any of its work; (m, d) come back as
+    plain ints, pi as a tuple."""
+    m, d = _check_m_d(m, d)
     pi = check_partition(pi, m)
     if character_cap:
         characters._classes(m)
-    return pi
+    return m, d, pi
 
 
 def dim_via_orbit_sum(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the sum, over orbit types weighted by their
     orbit counts, of the trivial-restriction multiplicity on the stabilizer.
     Types whose stabilizer admits no trivial constituent contribute 0."""
-    return _orbit_sum(m, d, _check_args(m, d, pi))
+    m, d, pi = _check_args(m, d, pi)
+    return _degree(pi) * _orbit_sum(m, d, pi)
 
 
 def _orbit_sum(m: int, d: int, pi: Partition) -> int:
     restricted = characters._restricted_trivial_cached
-    return _degree(pi) * sum(count * restricted(pi, shape) for shape, count in _orbit_types(m, d))
+    return sum(count * restricted(pi, shape) for shape, count in _orbit_types(m, d))
 
 
 def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the inner product of the character with the
     solution-count class function."""
-    return _inner_product(m, d, _check_args(m, d, pi))
+    m, d, pi = _check_args(m, d, pi)
+    return _degree(pi) * _inner_product(m, d, pi)
 
 
 def _inner_product(m: int, d: int, pi: Partition) -> int:
-    chi = characters.ClassFunction(m, characters._row(pi))
-    pairing = characters.inner_product(chi, _denumerant.denumerant_class_function(m, d))
-    if pairing.denominator != 1 or pairing < 0:
+    classes = _cycle_types(m)
+    total = characters._class_sum(
+        classes, characters._row(pi, classes).values(), _denumerant._solution_counts(m, d)
+    )
+    pairing, rem = divmod(total, math.factorial(m))
+    if rem or pairing < 0:
         raise ConsistencyError(
             f"inner product with the solution-count character is not a "
-            f"non-negative integer: {pairing}"
+            f"non-negative integer: {total}/{m}!"
         )
-    return _degree(pi) * int(pairing)
+    return pairing
 
 
 def dim_via_decomposition(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the multiplicity of the character in the
     irreducible decomposition of the solution-count class function."""
-    return _decomposition(m, d, _check_args(m, d, pi))
+    m, d, pi = _check_args(m, d, pi)
+    return _degree(pi) * _decomposition(m, d, pi)
 
 
 def _decomposition(m: int, d: int, pi: Partition) -> int:
-    return _degree(pi) * _denumerant.denumerant_decomposition(m, d)[pi]
+    return _denumerant._young_decomposition(m, d)[pi]
 
 
 def dim_via_hook_denumerant(m: int, d: int, pi: Sequence[int]) -> int:
     """Character degree times the multiplicity of the character by the
     money-change equation with its hook lengths as coins.  It reads no
     character value, so the character cap does not bind."""
-    pi = _check_args(m, d, pi, character_cap=False)
+    m, d, pi = _check_args(m, d, pi, character_cap=False)
     return _degree(pi) * _denumerant._hook_multiplicity(pi, d)
 
 
@@ -120,7 +136,8 @@ def is_nonvanishing(
     of 1 / (1 - q^h) over hook lengths h, one of which is 1.  The witness is
     built, not searched for: value i - 1 repeated pi_i times, in decreasing
     order, with the surplus d - b(pi) added to the first entry."""
-    return _witness(d, _check_args(m, d, pi, character_cap=False))
+    _, d, pi = _check_args(m, d, pi, character_cap=False)
+    return _witness(d, pi)
 
 
 def _witness(d: int, pi: Partition) -> tuple[bool, ExponentVector | None]:
@@ -181,9 +198,11 @@ def dimension_report(
 ) -> DimensionReport:
     """Compute every route in ``ROUTES``, the non-vanishing witness and, at
     small sizes, the exact rank; raise if any of the report's checks fails."""
-    pi = _check_args(m, d, pi)
-    # cores by module-global name when the report runs, so a rebound one is called
-    dims = [globals()[f"_{name}"](m, d, pi) for name in ROUTES]
+    m, d, pi = _check_args(m, d, pi)
+    # the cores give multiplicities; f^pi is computed once and scales each.
+    # Cores by module-global name when the report runs, so a rebound one is called
+    degree = _degree(pi)
+    dims = [degree * globals()[f"_{name}"](m, d, pi) for name in ROUTES]
     _, witness = _witness(d, pi)
     rank = None
     if verify_rank and rank_verification_applies(m, d):

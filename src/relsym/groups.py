@@ -157,7 +157,7 @@ class PermutationGroup:
 
     @classmethod
     def symmetric(cls, m: int) -> "PermutationGroup":
-        _check_m_d(m)
+        m, _ = _check_m_d(m)
         if m == 1:
             return cls([identity_permutation(1)], 1)
         gens = [parse_permutation("(1 2)", m)]

@@ -184,12 +184,16 @@ def _vectors_lex(m: int, d: int) -> Iterator[ExponentVector]:
         yield tuple(map(operator.sub, sums + (d,), (0,) + sums))
 
 
-def _check_m_d(m: int, d: int = 0) -> None:
-    """The checks on m variables (the degree of S_m) and a degree d (0 passes)."""
-    if _check_int(m, "m") < 1:
+def _check_m_d(m: int, d: int = 0) -> tuple[int, int]:
+    """The checks on m variables (the degree of S_m) and a degree d (0
+    passes), and both as plain ints: a bool or other integer type must not
+    key a cache that a plain int later reads."""
+    m, d = _check_int(m, "m"), _check_int(d, "d")
+    if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if _check_int(d, "d") < 0:
+    if d < 0:
         raise ValueError(f"d must be non-negative, got {d}")
+    return m, d
 
 
 def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
@@ -199,7 +203,7 @@ def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
     Refuses to materialize more than ``limits().max_gamma`` tuples; formula
     paths that scale past the cap work from orbit representatives instead.
     """
-    _check_m_d(m, d)
+    m, d = _check_m_d(m, d)
     check_cap("max_gamma", gamma_size(m, d), f"the number of vectors in Gamma({m}, {d}) is")
     return list(_vectors_lex(m, d))
 
@@ -217,7 +221,7 @@ def orbit_representatives(m: int, d: int) -> list[ExponentVector]:
 
 def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
     """The representatives of :func:`orbit_representatives`, one at a time."""
-    _check_m_d(m, d)
+    m, d = _check_m_d(m, d)
     for _, p in _partition_walk(d, m):
         yield p + (0,) * (m - len(p))
 

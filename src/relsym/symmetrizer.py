@@ -211,8 +211,22 @@ def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> in
     matrix whose rows are the symmetrized monomials over all exponent
     vectors, with the common positive factor degree / order cleared.  The
     matrix is block-diagonal by orbit, so its rank is the sum of the
-    orbit blocks' ranks."""
-    return sum(rank(block) for _, block in _orbit_blocks(group, chi, d))
+    orbit blocks' ranks.
+
+    Each block is the projection onto the isotypic part of its orbit's span,
+    scaled by order / degree, so its rank must equal its trace times
+    degree / order; a block whose elimination disagrees raises."""
+    total = 0
+    for orbit, block in _orbit_blocks(group, chi, d):
+        trace = sum(block[i][i] for i in range(len(orbit)))
+        block_rank = rank(block)
+        if block_rank * group.order != trace * chi.degree:
+            raise ConsistencyError(
+                f"the block of the orbit of {orbit[0]} has rank {block_rank}, "
+                f"but its trace gives {Fraction(trace * chi.degree, group.order)}"
+            )
+        total += block_rank
+    return total
 
 
 def dimension_by_character_sum(
@@ -221,7 +235,7 @@ def dimension_by_character_sum(
     """Dimension of the symmetrized degree-d space from the character paired
     with the solution counts of the cycle-type coin equations, both constant
     on conjugacy classes: one term |K| * chi(K) * count per class K."""
-    _check_m_d(group.m, d)
+    _, d = _check_m_d(group.m, d)
     _check_group(group, chi)
     total = sum(
         len(cls) * chi._by_element[cls[0]] * denumerant(cycle_type(cls[0]), d)

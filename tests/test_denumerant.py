@@ -28,7 +28,7 @@ from relsym.denumerant import (
     denumerant_decomposition,
     hook_decomposition,
 )
-from relsym.partitions import _orbit_types, enumerate_partitions, gamma_size
+from relsym.partitions import _orbit_types, _walked_partitions, enumerate_partitions, gamma_size
 
 # the package re-exports the function denumerant under the module's name
 denumerant_module = importlib.import_module("relsym.denumerant")
@@ -148,10 +148,15 @@ def test_one_coin_pass_per_cycle_type_at_most(monkeypatch, m, d):
         add_coin(counts, a)
 
     monkeypatch.setattr(denumerant_module, "_add_coin", counting)
+    denumerant_module._solution_counts.cache_clear()
     denumerant_class_function(m, d)
     # one pass per distinct nonempty P of parts above 1, and each P + 1^(m - |P|)
     # is a cycle type: p(m) - 1 passes
     assert 0 < calls <= len(_cycle_types(m))
+    # the counts of (m, d) are kept: a second call runs none
+    calls = 0
+    denumerant_class_function(m, d)
+    assert calls == 0
 
 
 def _by_assignment(m, d):
@@ -198,6 +203,44 @@ def test_three_routes_agree(m, d):
 def test_decomposition_rejects_a_partition_of_another_weight():
     with pytest.raises(ValueError, match="partition of 2, not 3"):
         class_function_from_decomposition(3, {(2,): 1})
+
+
+@pytest.mark.parametrize("mult, message", [
+    # 1.5 once gave an inexact class function, and "x" a TypeError from +=
+    (1.5, "the multiplicity of (2, 1) must be an integer, got 1.5"),
+    ("x", "the multiplicity of (2, 1) must be an integer, got 'x'"),
+])
+def test_decomposition_rejects_a_multiplicity_that_is_not_an_integer(mult, message):
+    with pytest.raises(ValueError) as info:
+        class_function_from_decomposition(3, {(3,): 1, (2, 1): mult})
+    assert str(info.value) == message
+
+
+def test_returned_values_do_not_reach_the_shared_caches():
+    decomposition = denumerant_decomposition(4, 3)
+    values = denumerant_class_function(4, 3).values
+    expected = (dict(decomposition), dict(values))
+    decomposition[(4,)] += 100
+    decomposition.clear()
+    values[(4,)] += 100
+    values.clear()
+    assert denumerant_decomposition(4, 3) == expected[0] == hook_decomposition(4, 3)
+    assert denumerant_class_function(4, 3).values == expected[1]
+    assert expected[1] == {lam: denumerant(lam, 3) for lam in _cycle_types(4)}
+
+
+@pytest.mark.parametrize("first, second", [(True, 1), (1, True)])
+def test_a_bool_m_does_not_key_the_caches(first, second):
+    for cache in (
+        _walked_partitions, denumerant_module._solution_counts, denumerant_module._young_decomposition
+    ):
+        cache.cache_clear()
+    for m in (first, second):
+        for out in (denumerant_class_function(m, 2), class_function_from_decomposition(m, {(1,): 1})):
+            assert type(out.m) is int and out.m == 1
+            assert [type(part) for lam in out.values for part in lam] == [int]
+        for out in (denumerant_decomposition(m, 2), hook_decomposition(m, 2), character_table(m)):
+            assert [type(part) for lam in out for part in lam] == [int]
 
 
 @pytest.mark.parametrize("m,d", [(12, 28), (10, 30)])

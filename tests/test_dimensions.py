@@ -261,6 +261,25 @@ def test_every_public_name_rejects_malformed_input_with_one_message(public, args
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("first, second", [(True, 1), (1, True)])
+def test_a_bool_m_is_reported_as_an_int(first, second):
+    partitions._walked_partitions.cache_clear()
+    for m in (first, second):
+        report = dimension_report(m, 2, (1,), verify_rank=True)
+        assert type(report.m) is int and report.m == 1
+        assert report.by_route() == [(name, 1) for name in ROUTES] + [("matrix_rank", 1)]
+
+
+def test_a_lowered_cap_refuses_a_report_whose_counts_are_cached():
+    dimension_report(5, 4, (3, 2))
+    with use_limits(max_character_table_m=4):
+        for public in (dimension_report, dim_via_orbit_sum, dim_via_inner_product,
+                       dim_via_decomposition):
+            with pytest.raises(ResourceLimitError):
+                public(5, 4, (3, 2))
+    assert dimension_report(5, 4, (3, 2)).dimension == dim_via_hook_denumerant(5, 4, (3, 2))
+
+
 @pytest.mark.parametrize("args, message", [
     pytest.param(((2, 1), (2, 2)), "(2, 2) is a partition of 4, not 3", id="wrong-weight"),
     pytest.param(((1, 2), (2, 1)), "partition parts must be weakly decreasing, got (1, 2)",

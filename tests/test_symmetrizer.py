@@ -14,7 +14,8 @@ from oracles import (
 )
 from relsym.dimensions import dim_via_orbit_sum, is_nonvanishing
 from relsym.config import use_limits
-from relsym.errors import ResourceLimitError
+import relsym.symmetrizer as symmetrizer
+from relsym.errors import ConsistencyError, ResourceLimitError
 from relsym.groups import PermutationGroup, apply_to_exponents, parse_generators
 from relsym.irreducibles import integer_irreducible_characters
 from relsym.linalg import rank
@@ -225,6 +226,27 @@ def test_orbit_block_rank_equals_the_dense_rank():
     for group, spec in _all_s4_subgroup_specs():
         for d in range(0, 5):
             assert dimension_by_rank(group, spec, d) == dense_rank_dimension(group, spec, d)
+
+
+@pytest.mark.parametrize("wrong", [0, 1])
+@pytest.mark.parametrize("off", [1, -1])
+def test_each_block_rank_is_checked_against_its_trace(monkeypatch, wrong, off):
+    # S3, chi^(2,1), d = 2: the orbits of (0, 0, 2) and (0, 1, 1), each of rank 2
+    spec = sn_character_spec(3, (2, 1))
+    firsts = [orbit[0] for orbit, _ in _orbit_blocks(spec.group, spec, 2)]
+    assert firsts == [(0, 0, 2), (0, 1, 1)]
+    calls = []
+
+    def off_by_one(block):
+        calls.append(block)
+        return rank(block) + off * (len(calls) == wrong + 1)
+
+    monkeypatch.setattr(symmetrizer, "rank", off_by_one)
+    with pytest.raises(ConsistencyError) as info:
+        dimension_by_rank(spec.group, spec, 2)
+    assert str(info.value) == (
+        f"the block of the orbit of {firsts[wrong]} has rank {2 + off}, but its trace gives 2"
+    )
 
 
 _BLOCK_GROUPS = [
