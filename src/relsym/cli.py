@@ -83,21 +83,21 @@ def _emit(
     sys.stdout.write("\n")
 
 
-def _emit_per_partition(args, values, key: str, names: tuple[str, str]) -> None:
-    """One row per partition ``p`` in ``values``, in its order: ``p`` and its
-    integer ``values[p]``, keyed by ``names``.  Under ``--json`` the envelope
-    is written as the indenting encoder would print it, without it: a fixed
-    head and tail, and each row filled into one text template in sorted key
-    order.  ``values`` has a row per partition of m >= 1, so neither it nor
-    any row's list is empty."""
+def _emit_per_partition(args, pairs, key: str, names: tuple[str, str]) -> None:
+    """One row per pair ``(p, v)`` of ``pairs``, in its order: the partition
+    ``p`` and its integer ``v``, keyed by ``names``.  Under ``--json`` the
+    envelope is written as the indenting encoder would print it, without it:
+    a fixed head and tail, and each row filled into one text template in
+    sorted key order.  ``pairs`` has a row per partition of m >= 1, so
+    neither it nor any row's list is empty."""
     if not args.json:
-        print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in values.items()))
+        print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in pairs))
         return
     slots = {names[0]: "[\n          %(p)s\n        ]", names[1]: "%(v)d"}
     row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
     row += "\n      }"
     sep = ",\n          "
-    rows = (row % {"p": sep.join(map(str, p)), "v": int(v)} for p, v in values.items())
+    rows = (row % {"p": sep.join(map(str, p)), "v": int(v)} for p, v in pairs)
     write = sys.stdout.write
     write(
         f'{{\n  "command": "{args.command}",\n  "cross_checks": [],\n'
@@ -123,15 +123,21 @@ def _cmd_denumerant(args) -> None:
 
 
 def _cmd_qchar(args) -> None:
-    from .denumerant import denumerant_class_function
-    cf = denumerant_class_function(args.m, args.d)
-    _emit_per_partition(args, cf.values, "classes", ("cycle_type", "value"))
+    # the values of denumerant_class_function, after its checks, without
+    # building its dict: the rows come straight from the counts
+    from .denumerant import _solution_counts
+    from .partitions import _check_m_d, _cycle_types
+    m, d = _check_m_d(args.m, args.d)
+    pairs = zip(_cycle_types(m), _solution_counts(m, d), strict=True)
+    _emit_per_partition(args, pairs, "classes", ("cycle_type", "value"))
 
 
 def _cmd_decompose(args) -> None:
     from .denumerant import hook_decomposition
     decomposition = hook_decomposition(args.m, args.d)
-    _emit_per_partition(args, decomposition, "multiplicities", ("partition", "multiplicity"))
+    _emit_per_partition(
+        args, decomposition.items(), "multiplicities", ("partition", "multiplicity")
+    )
 
 
 def _cmd_kostka(args) -> None:

@@ -22,7 +22,7 @@ from .errors import ConsistencyError
 from .groups import PermutationGroup, _getter, inverse
 from .linalg import kernel
 
-Vector = tuple[int | Fraction, ...]
+Vector = tuple[int, ...]
 Matrix = list[list[int]]
 
 
@@ -45,12 +45,19 @@ def _class_multiplication_matrices(
     return classes, matrices
 
 
+def _integral(vector: list[int | Fraction]) -> tuple[int, ...]:
+    """``vector`` times the lcm of its denominators: the same line, in ints."""
+    scale = math.lcm(*(x.denominator for x in vector))
+    return tuple(x.numerator * (scale // x.denominator) for x in vector)
+
+
 def _common_rational_eigenlines(
     matrices: list[Matrix], class_sizes: list[int]
 ) -> list[Vector]:
     """One-dimensional pieces of the joint integer-eigenvalue decomposition
     of the commuting family (central character values are bounded by the
-    class size, so only those integers are probed)."""
+    class size, so only those integers are probed).  Every basis vector is
+    scaled to integers, so the probes multiply and eliminate ints only."""
     r = len(class_sizes)
     unit = lambda i: tuple(int(j == i) for j in range(r))
     spaces: list[list[Vector]] = [[unit(i) for i in range(r)]]
@@ -77,7 +84,7 @@ def _common_rational_eigenlines(
                 eigen = kernel(shifted, s)
                 if eigen:
                     refined.append([
-                        tuple(sum(c * b[k] for c, b in zip(coords, basis)) for k in range(r))
+                        _integral([sum(c * b[k] for c, b in zip(coords, basis)) for k in range(r)])
                         for coords in eigen
                     ])
         spaces = refined

@@ -203,9 +203,15 @@ def enumerate_gamma(m: int, d: int) -> list[ExponentVector]:
     Refuses to materialize more than ``limits().max_gamma`` tuples; formula
     paths that scale past the cap work from orbit representatives instead.
     """
+    return list(_vectors_lex(*_check_gamma(m, d)))
+
+
+def _check_gamma(m: int, d: int) -> tuple[int, int]:
+    """The checks of :func:`_check_m_d`, then the ``max_gamma`` cap on
+    |Gamma(m, d)|; (m, d) come back as plain ints."""
     m, d = _check_m_d(m, d)
     check_cap("max_gamma", gamma_size(m, d), f"the number of vectors in Gamma({m}, {d}) is")
-    return list(_vectors_lex(m, d))
+    return m, d
 
 
 def orbit_representatives(m: int, d: int) -> list[ExponentVector]:

@@ -15,11 +15,13 @@ example, the faithful characters of a cyclic group of order three.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
 from .characters import _row
-from .config import Record
+from .config import Record, check_cap, limits
 from .denumerant import denumerant
 from .errors import ConsistencyError
 from .groups import (
@@ -34,6 +36,7 @@ from .groups import (
 from .linalg import rank
 from .partitions import (
     ExponentVector,
+    _check_gamma,
     _check_m_d,
     check_exponent_vector,
     check_partition,
@@ -106,9 +109,24 @@ def sn_character_spec(m: int, pi: Sequence[int]) -> CharacterSpec:
     """The irreducible character of the full symmetric group indexed by the
     partition ``pi``, as a CharacterSpec on the standard group."""
     pi = check_partition(pi, m)
-    group = PermutationGroup.symmetric(m)
+    m, _ = _check_m_d(m)  # before the cache: 2.0 must not hit the key 2
+    group = _symmetric_group(m)
+    # a hit skips the closure that checks the group cap, so check it here,
+    # with the order the closure would have reached
+    cap = limits().max_group_order
+    check_cap("max_group_order", min(group.order, cap + 1), "the group order is at least")
     row = _row(pi)
     return CharacterSpec(group, {g: row[cycle_type(g)] for g in group.elements})
+
+
+# S_m holds m! elements: S_1, ..., S_8 hold 46,233 in all, and the largest
+# group the default group cap admits, S_9, holds 362,880.
+@lru_cache(maxsize=8)
+def _symmetric_group(m: int) -> PermutationGroup:
+    """``PermutationGroup.symmetric(m)``, one per m, for the characters of
+    ``sn_character_spec``: characters of one S_m then share its classes
+    and its orbit structures."""
+    return PermutationGroup.symmetric(m)
 
 
 class SymmetrizedPolynomial(Record):
@@ -166,6 +184,49 @@ def _checked_norm(poly: SymmetrizedPolynomial, alpha: ExponentVector) -> Fractio
     return formula
 
 
+def _indices(values: Iterable[int], n: int) -> bytes | tuple[int, ...]:
+    """Column indices below ``n``, one byte each where they fit; either way
+    immutable, as the cache hands the same ones to every call."""
+    return bytes(values) if n <= 256 else tuple(values)
+
+
+# One entry per (group, d); a key holds its group alive.  With N orbits of
+# sizes n, an entry holds the |Gamma(m, d)| vectors and N * |G| + sum of
+# n**2 <= 2 * |Gamma| * |G| column indices, a byte each below 257 columns.
+# Within dim --verify's window (m <= 6, |Gamma| <= 1000) every orbit of S_m
+# fits a byte, and S_6 at d = 7 holds the most: 792 vectors and 82,152
+# bytes.  A lib-sweep pass reads 34 keys.
+@lru_cache(maxsize=64)
+def _orbit_structure(
+    group: PermutationGroup, d: int
+) -> tuple[tuple[tuple[ExponentVector, ...], Sequence[int], Sequence[int]], ...]:
+    """What the blocks of every character of ``group`` at degree ``d``
+    share, for checked d: per orbit of Gamma(m, d), its vectors in
+    lexicographic order, the column of g.alpha for each element g in the
+    group's element order (alpha the orbit's first vector), and the block's
+    fill map, row by row: the entry of row beta = h.alpha in column k is
+    the first row's entry in the column of inverse(h).orbit[k]."""
+    acting = [_getter(g) for g in group.elements]
+    structure = []
+    seen: set[ExponentVector] = set()
+    for alpha in enumerate_gamma(group.m, d):
+        if alpha in seen:
+            continue
+        images = [act(alpha) for act in acting]
+        carrier: dict[ExponentVector, Permutation] = {}  # beta -> an h carrying alpha to it
+        for g, beta in zip(group.elements, images):
+            carrier.setdefault(beta, g)
+        orbit = tuple(sorted(carrier))
+        seen.update(orbit)
+        n = len(orbit)
+        column = {beta: j for j, beta in enumerate(orbit)}.__getitem__
+        fill = _indices(chain.from_iterable(
+            map(column, map(_getter(inverse(carrier[beta])), orbit)) for beta in orbit
+        ), n)
+        structure.append((orbit, _indices(map(column, images), n), fill))
+    return tuple(structure)
+
+
 def _orbit_blocks(
     group: PermutationGroup, chi: CharacterSpec, d: int
 ) -> Iterator[tuple[tuple[ExponentVector, ...], list[list[int]]]]:
@@ -174,36 +235,24 @@ def _orbit_blocks(
     symmetrized monomials over them, scaled by order / degree.
 
     A row for alpha is non-zero only on alpha's orbit, so these blocks are
-    the whole coefficient matrix, reordered.  One pass over the group gives
-    the first row and, for every beta in the orbit, an element h carrying
-    alpha to beta; as chi is a class function, row(h.alpha)[h.gamma] =
-    row(alpha)[gamma] fills the other rows.
+    the whole coefficient matrix, reordered.  The first row sums chi over
+    the elements by the column each sends alpha to; as chi is a class
+    function, row(h.alpha)[h.gamma] = row(alpha)[gamma] fills the other
+    rows.  Only that sum reads chi: the orbits, columns and fill maps are
+    ``_orbit_structure``'s, shared by every character of the group at d.
+    The group check and the checks and cap of ``enumerate_gamma`` run first,
+    on every call.
     """
     _check_group(group, chi)
-    acting = [(_getter(g), value) for g, value in chi.items()]
-    seen: set[ExponentVector] = set()
-    for alpha in enumerate_gamma(group.m, d):
-        if alpha in seen:
-            continue
-        carrier: dict[ExponentVector, Callable] = {}  # beta -> the getter of an h
-        first: dict[ExponentVector, int] = {}
-        for act, value in acting:
-            beta = act(alpha)
-            carrier.setdefault(beta, act)
-            if value:
-                first[beta] = first.get(beta, 0) + value
-        orbit = tuple(sorted(carrier))
-        seen.update(orbit)
-        column = {beta: j for j, beta in enumerate(orbit)}
-        support = [(gamma, v) for gamma, v in first.items() if v]
-        block = []
-        for beta in orbit:
-            h = carrier[beta]
-            row = [0] * len(orbit)
-            for gamma, v in support:
-                row[column[h(gamma)]] = v
-            block.append(row)
-        yield orbit, block
+    _, d = _check_gamma(group.m, d)
+    values = chi._by_element.values()  # in the group's element order
+    for orbit, columns, fill in _orbit_structure(group, d):
+        n = len(orbit)
+        first = [0] * n
+        for j, value in zip(columns, values):
+            first[j] += value
+        entries = list(map(first.__getitem__, fill))
+        yield orbit, [entries[i:i + n] for i in range(0, n * n, n)]
 
 
 def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> int:

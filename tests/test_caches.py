@@ -126,6 +126,8 @@ def test_the_memo_guard_sees_every_unbounded_form():
     ("denumerant", "_solution_counts", 128),
     ("denumerant", "_young_decomposition", 128),
     ("characters", "young_subgroup_classes", 512),
+    ("symmetrizer", "_orbit_structure", 64),
+    ("symmetrizer", "_symmetric_group", 8),
 ])
 def test_the_shared_report_caches_are_bounded(module, name, maxsize):
     cached = getattr(importlib.import_module(f"relsym.{module}"), name)

@@ -140,6 +140,23 @@ def test_dim_verify(capsys):
     assert "witness: (2,0,0)" in out
 
 
+def test_dim_verify_group_cap_binds_on_a_cached_group(capsys):
+    argv = ("dim", "--m", "3", "--d", "2", "--partition", "2,1", "--verify")
+    assert run(capsys, *argv)[0] == 0  # S3 and its orbit structure at d = 2 are now cached
+    assert run(capsys, *argv, "--max-elements", "1") == (
+        2,
+        "",
+        "resource limit: the group order is at least 2, exceeding the cap of 1 "
+        "(Limits.max_group_order; raise it with --max-elements or RELSYM_MAX_ELEMENTS)\n",
+    )
+    assert run(capsys, *argv, "--max-gamma", "5") == (
+        2,
+        "",
+        "resource limit: the number of vectors in Gamma(3, 2) is 6, exceeding the cap of 5 "
+        "(Limits.max_gamma; raise it with --max-gamma)\n",
+    )
+
+
 def test_vanish(capsys):
     code, out, _ = run(capsys, "vanish", "--m", "3", "--d", "2", "--partition", "1,1,1")
     assert code == 0
@@ -504,6 +521,28 @@ def test_per_partition_rows_are_the_reference_dump(capsys, command):
             assert run(capsys, command, "--m", str(m), "--d", str(d), "--json") == (
                 0, reference, ""
             )
+
+
+def test_qchar_text_rows_are_the_class_function(capsys):
+    for m in range(1, 10):
+        for d in range(13):
+            values = denumerant_class_function(m, d).values
+            text = ", ".join(f"({','.join(map(str, p))}): {v}" for p, v in values.items())
+            assert run(capsys, "qchar", "--m", str(m), "--d", str(d)) == (0, text + "\n", "")
+
+
+def test_qchar_builds_no_class_function(capsys, monkeypatch):
+    import relsym.characters
+
+    def refuse(self, *args):
+        raise RuntimeError("a ClassFunction was built")
+
+    reference = _reference_per_partition("qchar", 6, 5)
+    monkeypatch.setattr(relsym.characters.ClassFunction, "__init__", refuse)
+    assert run(capsys, "qchar", "--m", "6", "--d", "5", "--json") == (0, reference, "")
+    assert run(capsys, "qchar", "--m", "0", "--d", "5") == (
+        1, "", "error: m must be at least 1, got 0\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["qchar", "decompose"])

@@ -7,7 +7,11 @@ from relsym.characters import character_table
 from oracles import subgroups, symmetric_group_elements
 from relsym.errors import ConsistencyError
 from relsym.groups import PermutationGroup, cycle_type, inverse, parse_generators
-from relsym.irreducibles import integer_irreducible_characters
+from relsym.irreducibles import (
+    _class_multiplication_matrices,
+    _common_rational_eigenlines,
+    integer_irreducible_characters,
+)
 
 
 def _orders_histogram(group):
@@ -165,3 +169,22 @@ def test_an_eigenline_that_gives_no_character_raises(monkeypatch, line):
     )
     with pytest.raises(ConsistencyError):
         integer_irreducible_characters(PermutationGroup.symmetric(3))
+
+
+@pytest.mark.parametrize("generators, m", [
+    ("(1 2),(1 2 3 4 5)", 5),
+    ("(1 2),(1 2 3),(1 4)(2 5)(3 6)", 6),
+    ("(1 2 3 4)(5 6 7 8),(1 5 3 7)(2 8 4 6)", 8),
+], ids=["S5", "S3wrS2", "Q8"])
+def test_eigenlines_are_integer_vectors(generators, m):
+    groups = [PermutationGroup(parse_generators(generators, m), m), *_s4_subgroups()]
+    for group in groups:
+        classes, matrices = _class_multiplication_matrices(group)
+        lines = _common_rational_eigenlines(matrices, [len(cls) for cls in classes])
+        assert lines
+        for line in lines:
+            assert type(line) is tuple and all(type(x) is int for x in line)
+            for mat in matrices:  # an eigenvector of every class matrix
+                image = [sum(a * x for a, x in zip(row, line)) for row in mat]
+                pivot = next(i for i, x in enumerate(line) if x)
+                assert [x * image[pivot] for x in line] == [y * line[pivot] for y in image]

@@ -146,6 +146,7 @@ def test_threads_that_first_touch_layers_at_once_all_succeed():
         (["vanish", "--m", "5", "--d", "4", "--partition", "3,1,1"],
          sorted(_CORE + ["dimensions"]), set(), True),
         (["denumerant", "--coins", "1,2,5", "--amount", "12"], None, {"characters"}, False),
+        (["qchar", "--m", "6", "--d", "5"], sorted(_CORE + ["denumerant"]), set(), True),
         (["dim", "--m", "5", "--d", "4", "--partition", "3,1,1"], None, _RANK_STACK, False),
         (["dim", "--m", "4", "--d", "3", "--partition", "2,2", "--verify"],
          [m for m in _LIBRARY if m != "irreducibles"], set(), False),
@@ -153,7 +154,7 @@ def test_threads_that_first_touch_layers_at_once_all_succeed():
           "--alpha", "2,0,0"],
          [m for m in _LIBRARY if m not in ("dimensions", "irreducibles")], set(), False),
     ],
-    ids=["unknown-command", "missing-option", "kostka", "vanish", "denumerant", "dim",
+    ids=["unknown-command", "missing-option", "kostka", "vanish", "denumerant", "qchar", "dim",
          "dim-verify", "symmetrize"],
 )
 def test_a_query_runs_only_the_layers_it_reaches(argv, ran, not_ran, no_fractions, tmp_path):

@@ -12,7 +12,7 @@ from oracles import (
     subgroups,
     symmetric_group_elements,
 )
-from relsym.dimensions import dim_via_orbit_sum, is_nonvanishing
+from relsym.dimensions import dim_via_orbit_sum, dimension_report, is_nonvanishing
 from relsym.config import use_limits
 import relsym.symmetrizer as symmetrizer
 from relsym.errors import ConsistencyError, ResourceLimitError
@@ -28,7 +28,9 @@ from relsym.partitions import (
 )
 from relsym.symmetrizer import (
     CharacterSpec,
+    _indices,
     _orbit_blocks,
+    _orbit_structure,
     dimension_by_character_sum,
     dimension_by_rank,
     norm_squared,
@@ -260,20 +262,126 @@ _BLOCK_GROUPS = [
 @pytest.mark.parametrize("group, max_d", [(g, d) for _, g, d in _BLOCK_GROUPS],
                          ids=[name for name, _, _ in _BLOCK_GROUPS])
 def test_orbit_blocks_are_the_scaled_symmetrized_monomials(group, max_d):
-    for spec in _integer_irreducible_specs(group):
-        scale = Fraction(group.order, spec.degree)
-        for d in range(0, max_d + 1):
-            orbits = []
-            for orbit, block in _orbit_blocks(group, spec, d):
-                assert set(orbit) == {apply_to_exponents(g, orbit[0]) for g in group.elements}
-                assert len(block) == len(orbit)
-                for alpha, row in zip(orbit, block):
-                    poly = symmetrize_monomial(group, spec, alpha)
-                    assert {beta: v for beta, v in zip(orbit, row) if v} == {
-                        beta: c * scale for beta, c in poly.coefficients.items()
-                    }
-                orbits.extend(orbit)
-            assert sorted(orbits) == enumerate_gamma(group.m, d)
+    specs = _integer_irreducible_specs(group)
+    for warm in (False, True):
+        _orbit_structure.cache_clear()
+        if warm:  # another character fills the shared structure first
+            for d in range(0, max_d + 1):
+                list(_orbit_blocks(group, specs[-1], d))
+        for spec in specs:
+            scale = Fraction(group.order, spec.degree)
+            for d in range(0, max_d + 1):
+                orbits = []
+                for orbit, block in _orbit_blocks(group, spec, d):
+                    assert set(orbit) == {apply_to_exponents(g, orbit[0]) for g in group.elements}
+                    assert len(block) == len(orbit)
+                    for alpha, row in zip(orbit, block):
+                        poly = symmetrize_monomial(group, spec, alpha)
+                        assert {beta: v for beta, v in zip(orbit, row) if v} == {
+                            beta: c * scale for beta, c in poly.coefficients.items()
+                        }
+                    orbits.extend(orbit)
+                assert sorted(orbits) == enumerate_gamma(group.m, d)
+
+
+def test_a_block_over_256_columns_keeps_its_entries():
+    # S6 at d = 10: the orbit of (4, 3, 2, 1, 0, 0) has 360 vectors, so its
+    # column indices no longer fit a byte
+    group = sn_character_spec(6, (6,)).group
+    spec = sn_character_spec(6, (5, 1))
+    scale = Fraction(group.order, spec.degree)
+    orbit, block = next((o, b) for o, b in _orbit_blocks(group, spec, 10) if len(o) > 256)
+    assert (len(orbit), orbit[0]) == (360, (0, 0, 1, 2, 3, 4))
+    assert {type(f) for o, _, f in _orbit_structure(group, 10) if len(o) > 256} == {tuple}
+    for alpha, row in list(zip(orbit, block))[:: 90]:
+        poly = symmetrize_monomial(group, spec, alpha)
+        assert {beta: v for beta, v in zip(orbit, row) if v} == {
+            beta: c * scale for beta, c in poly.coefficients.items()
+        }
+
+
+def test_column_indices_take_a_byte_below_257_columns():
+    assert _indices(iter(range(256)), 256) == bytes(range(256))
+    assert _indices(iter([0, 256, 70000]), 70001) == (0, 256, 70000)
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["in-order", "reversed"])
+@pytest.mark.parametrize("group, d", [(g, d) for _, g, d in _BLOCK_GROUPS],
+                         ids=[name for name, _, _ in _BLOCK_GROUPS])
+def test_characters_of_one_group_share_its_orbit_structure(group, d, first):
+    specs = _integer_irreducible_specs(group)
+    for pair in zip(specs, specs[1:]):
+        _orbit_structure.cache_clear()
+        for spec in pair[first:] + pair[:first]:
+            hits = _orbit_structure.cache_info().hits
+            assert dimension_by_rank(group, spec, d) == dense_rank_dimension(group, spec, d)
+        # the second character found the structure the first one built
+        assert _orbit_structure.cache_info().hits == hits + 1
+        assert _orbit_structure.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("group, max_d", [(g, d) for _, g, d in _BLOCK_GROUPS],
+                         ids=[name for name, _, _ in _BLOCK_GROUPS])
+def test_rank_runs_once_per_orbit(monkeypatch, group, max_d):
+    calls = []
+    monkeypatch.setattr(symmetrizer, "rank", lambda block: calls.append(block) or rank(block))
+    _orbit_structure.cache_clear()
+    for d in range(0, max_d + 1):
+        vectors = enumerate_gamma(group.m, d)
+        orbits = {frozenset(apply_to_exponents(g, a) for g in group.elements) for a in vectors}
+        for spec in _integer_irreducible_specs(group):  # cold for the first, then warm
+            calls.clear()
+            dimension_by_rank(group, spec, d)
+            assert len(calls) == len(orbits)
+
+
+_GROUP_CAP = (
+    "the group order is at least {}, exceeding the cap of {} "
+    "(Limits.max_group_order; raise it with --max-elements or RELSYM_MAX_ELEMENTS)"
+)
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+@pytest.mark.parametrize("call", [
+    lambda: sn_character_spec(3, (2, 1)),
+    lambda: dimension_report(3, 2, (2, 1), verify_rank=True),
+], ids=["sn_character_spec", "dimension_report"])
+def test_a_lowered_group_cap_refuses_a_cached_symmetric_group(call, cap):
+    call()  # S3 is now cached, with its six elements
+    with use_limits(max_group_order=cap), pytest.raises(ResourceLimitError) as raised:
+        call()
+    assert str(raised.value) == _GROUP_CAP.format(cap + 1, cap)
+    with use_limits(max_group_order=6):
+        call()
+
+
+def test_a_lowered_gamma_cap_refuses_a_cached_orbit_structure():
+    spec = sn_character_spec(3, (2, 1))
+    assert dimension_by_rank(spec.group, spec, 2) == 4  # (S3, 2) is now cached
+    with use_limits(max_gamma=5), pytest.raises(ResourceLimitError) as raised:
+        dimension_by_rank(spec.group, spec, 2)
+    assert str(raised.value) == (
+        "the number of vectors in Gamma(3, 2) is 6, exceeding the cap of 5 "
+        "(Limits.max_gamma; raise it with --max-gamma)"
+    )
+
+
+@pytest.mark.parametrize("d", [2.0, True, -1])
+def test_a_cached_degree_is_not_read_for_an_unchecked_one(d):
+    spec = sn_character_spec(3, (2, 1))
+    dimension_by_rank(spec.group, spec, 1)
+    dimension_by_rank(spec.group, spec, 2)
+    if d is True:  # an integer: it goes on as 1
+        assert dimension_by_rank(spec.group, spec, d) == dimension_by_rank(spec.group, spec, 1)
+    else:
+        with pytest.raises(ValueError, match="^d must be"):
+            dimension_by_rank(spec.group, spec, d)
+
+
+def test_a_cached_symmetric_group_is_not_read_for_a_float_m():
+    sn_character_spec(2, (1, 1))
+    with pytest.raises(ValueError, match="^m must be an integer, got 2.0$"):
+        sn_character_spec(2.0, (1, 1))
 
 
 @pytest.mark.parametrize("m", range(1, 6))
