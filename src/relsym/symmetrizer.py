@@ -33,7 +33,7 @@ from .groups import (
     identity_permutation,
     inverse,
 )
-from .linalg import rank
+from .linalg import symmetric_rank
 from .partitions import (
     ExponentVector,
     _check_gamma,
@@ -263,12 +263,20 @@ def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> in
     orbit blocks' ranks.
 
     Each block is the projection onto the isotypic part of its orbit's span,
-    scaled by order / degree, so its rank must equal its trace times
-    degree / order; a block whose elimination disagrees raises."""
+    scaled by order / degree: symmetric, as chi(g) = chi(inverse(g)) for an
+    integer character, and positive semidefinite.  So ``symmetric_rank``
+    ranks it with diagonal pivots over its upper triangle, and refuses a
+    block that is not symmetric or has a zero pivot above a nonzero row.
+    Its rank must equal its trace times degree / order.  A refused block,
+    or one whose elimination disagrees with its trace, raises
+    ``ConsistencyError`` naming the orbit by its first vector."""
     total = 0
     for orbit, block in _orbit_blocks(group, chi, d):
         trace = sum(block[i][i] for i in range(len(orbit)))
-        block_rank = rank(block)
+        try:
+            block_rank = symmetric_rank(block)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"the block of the orbit of {orbit[0]}: {exc}") from exc
         if block_rank * group.order != trace * chi.degree:
             raise ConsistencyError(
                 f"the block of the orbit of {orbit[0]} has rank {block_rank}, "

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import fraction_matrix_rank
-from relsym.linalg import kernel
+from relsym.errors import ConsistencyError
+from relsym.linalg import kernel, rank, symmetric_rank
 
 _entries = st.one_of(
     st.just(Fraction(0)),
@@ -42,3 +44,77 @@ def test_kernel_is_a_basis_of_the_null_space(data):
         assert all(isinstance(x, Fraction) for x in vec)
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in matrix)
         assert [vec[c] for c in free] == [int(c == own) for c in free]
+
+
+def _gram(a):
+    """A^T A for the rows of A over n columns: symmetric positive semidefinite,
+    of the rank of A."""
+    n = len(a[0])
+    return [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
+
+
+def _ldlt(lower, diagonal):
+    """L D L^T for L unit lower triangular with the given entries below the
+    diagonal, row by row: symmetric, and its k-th diagonal pivot is zero
+    exactly when d_k is, with a zero row to its right."""
+    n = len(diagonal)
+    entries = iter(lower)
+    unit = [[next(entries) if j < i else int(j == i) for j in range(n)] for i in range(n)]
+    return [
+        [sum(unit[i][t] * diagonal[t] * unit[j][t] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+_small = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.one_of(
+            # Gram matrices of 0 to n + 1 rows: every rank from 0 to n
+            st.integers(0, n + 1).flatmap(
+                lambda r: st.lists(
+                    st.lists(_small, min_size=n, max_size=n), min_size=r, max_size=r
+                ).map(lambda a: (_gram(a or [[0] * n]), None))
+            ),
+            # indefinite ones, whose nonzero pivots are the nonzero d_k
+            st.tuples(
+                st.lists(_small, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+                st.lists(_small, min_size=n, max_size=n),
+            ).map(lambda ld: (_ldlt(*ld), sum(map(bool, ld[1])))),
+        )
+    )
+)
+def test_symmetric_rank_equals_the_general_and_rational_ranks(case):
+    matrix, expected = case
+    before = [row[:] for row in matrix]
+    found = symmetric_rank(matrix)
+    assert matrix == before
+    assert found == rank(matrix) == fraction_matrix_rank(matrix)
+    if expected is not None:
+        assert found == expected
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[0, 1], [1, 0]],
+     "diagonal pivot 0 is zero but its row is not: the matrix is not positive semidefinite"),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # pivot 1 is zero after the first step
+     "diagonal pivot 1 is zero but its row is not: the matrix is not positive semidefinite"),
+    ([[2, 1], [3, 2]], "the matrix is not symmetric: entry (1, 0) is 3, entry (0, 1) is 1"),
+    ([[1, 2]], "the matrix is not square: 1 row(s), of lengths [2]"),
+    ([[1, 0], [0]], "the matrix is not square: 2 row(s), of lengths [1, 2]"),
+], ids=["swap", "later-zero-pivot", "asymmetric", "wide", "ragged"])
+def test_symmetric_rank_refuses_what_it_cannot_rank_by_diagonal_pivots(matrix, message):
+    with pytest.raises(ConsistencyError) as raised:
+        symmetric_rank(matrix)
+    assert str(raised.value) == message
+
+
+def test_symmetric_rank_skips_a_zero_pivot_over_a_zero_row():
+    assert symmetric_rank([]) == 0
+    assert symmetric_rank([[0]]) == 0
+    # the zero pivot of index 1 is skipped and pivot 2 divides by pivot 0
+    assert symmetric_rank([[2, 0, 2], [0, 0, 0], [2, 0, 5]]) == 2
+    assert symmetric_rank([[1, 1, 1], [1, 1, 1], [1, 1, 3]]) == 2

@@ -18,7 +18,7 @@ import relsym.symmetrizer as symmetrizer
 from relsym.errors import ConsistencyError, ResourceLimitError
 from relsym.groups import PermutationGroup, apply_to_exponents, parse_generators
 from relsym.irreducibles import integer_irreducible_characters
-from relsym.linalg import rank
+from relsym.linalg import rank, symmetric_rank
 from relsym.partitions import (
     dominates,
     enumerate_gamma,
@@ -241,14 +241,59 @@ def test_each_block_rank_is_checked_against_its_trace(monkeypatch, wrong, off):
 
     def off_by_one(block):
         calls.append(block)
-        return rank(block) + off * (len(calls) == wrong + 1)
+        return symmetric_rank(block) + off * (len(calls) == wrong + 1)
 
-    monkeypatch.setattr(symmetrizer, "rank", off_by_one)
+    monkeypatch.setattr(symmetrizer, "symmetric_rank", off_by_one)
     with pytest.raises(ConsistencyError) as info:
         dimension_by_rank(spec.group, spec, 2)
     assert str(info.value) == (
         f"the block of the orbit of {firsts[wrong]} has rank {2 + off}, but its trace gives 2"
     )
+
+
+def _every_block_case():
+    """(group, spec, max_d): every S4 subgroup and lib-sweep group at d <= 4,
+    every pi of m <= 5 at d <= 5."""
+    cases = [(group, spec, 4) for group, spec in _all_s4_subgroup_specs()]
+    for m, gens in _SWEEP_GROUPS:
+        group = PermutationGroup(parse_generators(gens, m), m)
+        cases += [(group, spec, 4) for spec in _integer_irreducible_specs(group)]
+    for m in range(1, 6):
+        specs = [sn_character_spec(m, pi) for pi in enumerate_partitions(m)]
+        cases += [(spec.group, spec, 5) for spec in specs]
+    return cases
+
+
+def test_every_block_is_symmetric_and_ranked_alike_by_both_eliminations():
+    n_blocks = 0
+    for group, spec, max_d in _every_block_case():
+        for d in range(0, max_d + 1):
+            for _, block in _orbit_blocks(group, spec, d):
+                assert block == [list(column) for column in zip(*block)]
+                assert symmetric_rank(block) == rank(block)
+                n_blocks += 1
+    assert n_blocks == 3206
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (lambda block: block[1].__setitem__(0, block[1][0] + 1),
+     "the matrix is not symmetric: entry (1, 0) is 0, entry (0, 1) is -1"),
+    (lambda block: block[0].__setitem__(0, 0),
+     "diagonal pivot 0 is zero but its row is not: the matrix is not positive semidefinite"),
+], ids=["asymmetric", "zero-pivot"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_block_that_diagonal_pivots_cannot_rank_names_its_orbit(monkeypatch, tamper, reason,
+                                                                   which):
+    # S3, chi^(2,1), d = 2: the orbits of (0, 0, 2) and (0, 1, 1)
+    spec = sn_character_spec(3, (2, 1))
+    blocks = list(_orbit_blocks(spec.group, spec, 2))
+    assert [orbit[0] for orbit, _ in blocks] == [(0, 0, 2), (0, 1, 1)]
+    assert [block for _, block in blocks] == [[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]] * 2
+    tamper(blocks[which][1])
+    monkeypatch.setattr(symmetrizer, "_orbit_blocks", lambda group, chi, d: iter(blocks))
+    with pytest.raises(ConsistencyError) as raised:
+        dimension_by_rank(spec.group, spec, 2)
+    assert str(raised.value) == f"the block of the orbit of {blocks[which][0][0]}: {reason}"
 
 
 _BLOCK_GROUPS = [
@@ -324,7 +369,8 @@ def test_characters_of_one_group_share_its_orbit_structure(group, d, first):
                          ids=[name for name, _, _ in _BLOCK_GROUPS])
 def test_rank_runs_once_per_orbit(monkeypatch, group, max_d):
     calls = []
-    monkeypatch.setattr(symmetrizer, "rank", lambda block: calls.append(block) or rank(block))
+    monkeypatch.setattr(symmetrizer, "symmetric_rank",
+                        lambda block: calls.append(block) or symmetric_rank(block))
     _orbit_structure.cache_clear()
     for d in range(0, max_d + 1):
         vectors = enumerate_gamma(group.m, d)
