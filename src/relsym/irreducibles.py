@@ -5,12 +5,12 @@ constants, and each irreducible character gives a simultaneous eigenvector
 of the multiplication matrices: the vector of central character values
 ``|K| * chi(g) / chi(1)`` per class K.  For an integer-valued character
 those eigenvalues are rational algebraic integers, hence integers, so the
-character can be recovered by exact rational linear algebra alone: refine
-the class space into common eigenspaces probing only integer eigenvalues,
-keep the one-dimensional pieces, and rebuild each character from its
-normalized eigenvector.  Characters with irrational values never isolate
-into a rational line and drop out, which matches the package-wide
-restriction to integer-valued characters.
+character can be recovered from integer kernels alone: refine the class
+space into common eigenspaces probing only integer eigenvalues, keep the
+one-dimensional pieces, and rebuild each character from its normalized
+eigenvector.  Characters with irrational values never isolate into a
+rational line and drop out, which matches the package-wide restriction to
+integer-valued characters.
 """
 
 from __future__ import annotations
@@ -45,19 +45,14 @@ def _class_multiplication_matrices(
     return classes, matrices
 
 
-def _integral(vector: list[int | Fraction]) -> tuple[int, ...]:
-    """``vector`` times the lcm of its denominators: the same line, in ints."""
-    scale = math.lcm(*(x.denominator for x in vector))
-    return tuple(x.numerator * (scale // x.denominator) for x in vector)
-
-
 def _common_rational_eigenlines(
     matrices: list[Matrix], class_sizes: list[int]
 ) -> list[Vector]:
     """One-dimensional pieces of the joint integer-eigenvalue decomposition
     of the commuting family (central character values are bounded by the
-    class size, so only those integers are probed).  Every basis vector is
-    scaled to integers, so the probes multiply and eliminate ints only."""
+    class size, so only those integers are probed).  The kernels give integer
+    coordinates in an integer basis, so every basis vector is an int vector
+    and the probes multiply and eliminate ints only."""
     r = len(class_sizes)
     unit = lambda i: tuple(int(j == i) for j in range(r))
     spaces: list[list[Vector]] = [[unit(i) for i in range(r)]]
@@ -84,7 +79,7 @@ def _common_rational_eigenlines(
                 eigen = kernel(shifted, s)
                 if eigen:
                     refined.append([
-                        _integral([sum(c * b[k] for c, b in zip(coords, basis)) for k in range(r)])
+                        tuple(sum(c * b[k] for c, b in zip(coords, basis)) for k in range(r))
                         for coords in eigen
                     ])
         spaces = refined

@@ -2,27 +2,24 @@
 
 Bareiss (1968) elimination keeps every entry an integer: each step
 multiplies by the current pivot and divides exactly by the previous one, so
-entries stay minors of the input instead of growing into fractions.  Rational
-input is scaled row by row to integers first, which changes neither the rank
-nor the kernel.
+entries stay minors of the input instead of growing into quotients.  The
+kernel is solved back from the echelon form in integers too, and comes out
+as primitive integer vectors.
 
 ``symmetric_rank`` is the same elimination for a symmetric matrix, with
 pivots taken down the diagonal in index order.  Each step leaves the
 matrix still to be reduced symmetric, so only its upper triangle is
-updated: about half the work of ``rank``.  It refuses, rather than guesses
-on, a matrix that is not square and symmetric, and a zero diagonal pivot
-whose row still has a nonzero entry to its right, which a positive
-semidefinite matrix cannot give.  The rank of the orbit blocks of the
-exact-rank construction is taken this way; the general ``rank`` is kept
-as the reference that the tests compare it with.
+updated: about half the work of general elimination.  It refuses, rather
+than guesses on, a matrix that is not square and symmetric, and a zero
+diagonal pivot whose row still has a nonzero entry to its right, which a
+positive semidefinite matrix cannot give.  The rank of the orbit blocks of
+the exact-rank construction is taken this way.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
-from numbers import Rational
 
 from .errors import ConsistencyError
 
@@ -62,20 +59,12 @@ def _echelon(rows: list[list[int]], n_cols: int) -> list[int]:
     return pivots
 
 
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as a list of equal-length rows."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    return len(_echelon(rows, len(rows[0])))
-
-
 def symmetric_rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank of a symmetric integer matrix given as a list of rows, by
     Bareiss elimination with diagonal pivots over the upper triangle.
 
     A zero pivot whose row is zero is skipped, the previous pivot kept, as
-    ``rank`` skips an empty column.  Raises ``ConsistencyError`` for a
+    ``_echelon`` skips an empty column.  Raises ``ConsistencyError`` for a
     matrix that is not square and symmetric, and for a zero pivot whose row
     is not zero: no positive semidefinite matrix has one, and another
     pivot order would be needed."""
@@ -117,25 +106,28 @@ def symmetric_rank(matrix: Sequence[Sequence[int]]) -> int:
     return found
 
 
-def kernel(matrix: Sequence[Sequence[Rational]], n_cols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of a rational matrix with ``n_cols``
-    columns: one vector per non-pivot column, with a 1 in that column and 0
-    in every other non-pivot column, in column order."""
-    rows = []
-    for row in matrix:
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+def kernel(matrix: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of an integer matrix with ``n_cols``
+    columns: one primitive integer vector per non-pivot column, positive in
+    that column and 0 in every other non-pivot column, in column order.
+    Each pivot entry is solved in integers: the vector is first scaled by
+    the least positive factor that lets the pivot divide the entry's
+    numerator, and the entry is prime to that factor, so the vector stays
+    primitive."""
+    rows = [list(row) for row in matrix]
     pivots = _echelon(rows, n_cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for k in reversed(range(len(pivots))):
-            c = pivots[k]
-            row = rows[k]
-            vec[c] = Fraction(-sum(row[j] * vec[j] for j in range(c + 1, n_cols)), row[c])
+        vec = [0] * n_cols
+        vec[free] = 1
+        for c, row in reversed(list(zip(pivots, rows))):
+            p = row[c]
+            num = -sum(row[j] * vec[j] for j in range(c + 1, n_cols))
+            scale = abs(p) // math.gcd(num, p)
+            vec = [x * scale for x in vec]
+            vec[c] = num * scale // p
         basis.append(tuple(vec))
     return basis

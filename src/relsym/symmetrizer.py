@@ -190,31 +190,32 @@ def _indices(values: Iterable[int], n: int) -> bytes | tuple[int, ...]:
     return bytes(values) if n <= 256 else tuple(values)
 
 
-# One entry per (group, d); a key holds its group alive.  With N orbits of
-# sizes n, an entry holds the |Gamma(m, d)| vectors and N * |G| + sum of
+# The element tuple compares by value, so equal groups built apart share an
+# entry, and no entry keeps a group alive.  With N orbits of sizes n, an
+# entry holds the |Gamma(m, d)| vectors and N * |G| + sum of
 # n**2 <= 2 * |Gamma| * |G| column indices, a byte each below 257 columns.
 # Within dim --verify's window (m <= 6, |Gamma| <= 1000) every orbit of S_m
 # fits a byte, and S_6 at d = 7 holds the most: 792 vectors and 82,152
 # bytes.  A lib-sweep pass reads 34 keys.
 @lru_cache(maxsize=64)
 def _orbit_structure(
-    group: PermutationGroup, d: int
+    elements: tuple[Permutation, ...], d: int
 ) -> tuple[tuple[tuple[ExponentVector, ...], Sequence[int], Sequence[int]], ...]:
-    """What the blocks of every character of ``group`` at degree ``d``
-    share, for checked d: per orbit of Gamma(m, d), its vectors in
-    lexicographic order, the column of g.alpha for each element g in the
-    group's element order (alpha the orbit's first vector), and the block's
-    fill map, row by row: the entry of row beta = h.alpha in column k is
-    the first row's entry in the column of inverse(h).orbit[k]."""
-    acting = [_getter(g) for g in group.elements]
+    """What the blocks of every character of the group with these sorted
+    ``elements`` at degree ``d`` share, for checked d: per orbit of
+    Gamma(m, d), its vectors in lexicographic order, the column of g.alpha
+    for each element g in order (alpha the orbit's first vector), and the
+    block's fill map, row by row: the entry of row beta = h.alpha in column
+    k is the first row's entry in the column of inverse(h).orbit[k]."""
+    acting = [_getter(g) for g in elements]
     structure = []
     seen: set[ExponentVector] = set()
-    for alpha in enumerate_gamma(group.m, d):
+    for alpha in enumerate_gamma(len(elements[0]), d):
         if alpha in seen:
             continue
         images = [act(alpha) for act in acting]
         carrier: dict[ExponentVector, Permutation] = {}  # beta -> an h carrying alpha to it
-        for g, beta in zip(group.elements, images):
+        for g, beta in zip(elements, images):
             carrier.setdefault(beta, g)
         orbit = tuple(sorted(carrier))
         seen.update(orbit)
@@ -246,7 +247,7 @@ def _orbit_blocks(
     _check_group(group, chi)
     _, d = _check_gamma(group.m, d)
     values = chi._by_element.values()  # in the group's element order
-    for orbit, columns, fill in _orbit_structure(group, d):
+    for orbit, columns, fill in _orbit_structure(group.elements, d):
         n = len(orbit)
         first = [0] * n
         for j, value in zip(columns, values):

@@ -1,8 +1,8 @@
-import random
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_force_denumerant,
@@ -18,7 +18,7 @@ import relsym.symmetrizer as symmetrizer
 from relsym.errors import ConsistencyError, ResourceLimitError
 from relsym.groups import PermutationGroup, apply_to_exponents, parse_generators
 from relsym.irreducibles import integer_irreducible_characters
-from relsym.linalg import rank, symmetric_rank
+from relsym.linalg import symmetric_rank
 from relsym.partitions import (
     dominates,
     enumerate_gamma,
@@ -270,7 +270,7 @@ def test_every_block_is_symmetric_and_ranked_alike_by_both_eliminations():
         for d in range(0, max_d + 1):
             for _, block in _orbit_blocks(group, spec, d):
                 assert block == [list(column) for column in zip(*block)]
-                assert symmetric_rank(block) == rank(block)
+                assert symmetric_rank(block) == fraction_matrix_rank(block)
                 n_blocks += 1
     assert n_blocks == 3206
 
@@ -337,7 +337,7 @@ def test_a_block_over_256_columns_keeps_its_entries():
     scale = Fraction(group.order, spec.degree)
     orbit, block = next((o, b) for o, b in _orbit_blocks(group, spec, 10) if len(o) > 256)
     assert (len(orbit), orbit[0]) == (360, (0, 0, 1, 2, 3, 4))
-    assert {type(f) for o, _, f in _orbit_structure(group, 10) if len(o) > 256} == {tuple}
+    assert {type(f) for o, _, f in _orbit_structure(group.elements, 10) if len(o) > 256} == {tuple}
     for alpha, row in list(zip(orbit, block))[:: 90]:
         poly = symmetrize_monomial(group, spec, alpha)
         assert {beta: v for beta, v in zip(orbit, row) if v} == {
@@ -363,6 +363,22 @@ def test_characters_of_one_group_share_its_orbit_structure(group, d, first):
         # the second character found the structure the first one built
         assert _orbit_structure.cache_info().hits == hits + 1
         assert _orbit_structure.cache_info().misses == 1
+
+
+def test_equal_groups_built_apart_share_one_orbit_structure():
+    _orbit_structure.cache_clear()
+    for _ in range(3):
+        group = PermutationGroup.symmetric(4)  # a new object, equal to the last
+        spec = CharacterSpec.from_class_values(
+            group, {cls[0]: 1 for cls in group.conjugacy_classes()}
+        )
+        assert dimension_by_rank(group, spec, 3) == 3
+    assert _orbit_structure.cache_info()[:2] == (2, 1)  # (hits, misses)
+    # the entry holds the group's elements, not the group
+    dropped = weakref.ref(group)
+    del group, spec
+    gc.collect()
+    assert dropped() is None
 
 
 @pytest.mark.parametrize("group, max_d", [(g, d) for _, g, d in _BLOCK_GROUPS],
@@ -450,37 +466,3 @@ def test_zero_test_matches_nonvanishing_criterion(m):
             for nu in orbit_representatives(m, d):
                 vanishes = not symmetrize_monomial(group, spec, nu).coefficients
                 assert (not vanishes) == dominates(pi, multiplicity_partition(nu))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda rows: st.lists(
-            st.lists(st.integers(min_value=-8, max_value=8), min_size=4, max_size=4),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-)
-def test_bareiss_rank_matches_rational_elimination(matrix):
-    assert rank(matrix) == fraction_matrix_rank(matrix)
-
-
-def test_bareiss_rank_structured_cases():
-    assert rank([]) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[0, 1], [1, 0]]) == 2
-    rng = random.Random(7)
-    for trial in range(30):
-        rows = rng.randrange(1, 8)
-        cols = rng.randrange(1, 8)
-        matrix = [
-            [rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)
-        ]
-        # sprinkle rank deficiency: duplicate or zero some rows
-        if rows > 2:
-            matrix[-1] = matrix[0][:]
-            matrix[1] = [0] * cols
-        assert rank(matrix) == fraction_matrix_rank(matrix)
-
