@@ -182,10 +182,10 @@ def _cmd_character(args) -> None:
 
 
 def _cmd_dim(args) -> None:
-    from .dimensions import RANK_VERIFY_WINDOW, dimension_report, rank_verification_applies
+    from .dimensions import RANK_VERIFY_WINDOW, dimension_report
     pi = _parse_ints(args.partition, "--partition")
     report = dimension_report(args.m, args.d, pi, verify_rank=args.verify)
-    if args.verify and not rank_verification_applies(args.m, args.d):
+    if args.verify and report.rank_dimension is None:
         note = f"note: --verify ran no exact rank check; it runs only at {RANK_VERIFY_WINDOW}"
         print(note, file=sys.stderr)
     witness = report.nonvanishing_witness

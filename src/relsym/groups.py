@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
 
 from .config import check_cap, limits
-from .partitions import ExponentVector, Partition, _check_m_d, check_exponent_vector
+from .partitions import ExponentVector, Partition, _check_ints, _check_m_d, check_exponent_vector
 
 Permutation = tuple[int, ...]
 
@@ -126,7 +126,8 @@ class PermutationGroup:
     """
 
     def __init__(self, generators: Iterable[Permutation], m: int) -> None:
-        gens = [tuple(g) for g in generators]
+        m, _ = _check_m_d(m)
+        gens = [_check_ints(g, "permutation") for g in generators]
         for g in gens:
             if sorted(g) != list(range(m)):
                 raise ValueError(f"not a permutation of {m} points: {g}")

@@ -1,74 +1,41 @@
-"""Exact rank and kernels by fraction-free elimination.
+"""Exact rank and kernels by one fraction-free elimination.
 
 Bareiss (1968) elimination keeps every entry an integer: each step
 multiplies by the current pivot and divides exactly by the previous one, so
-entries stay minors of the input instead of growing into quotients.  The
-kernel is solved back from the echelon form in integers too, and comes out
-as primitive integer vectors.
+entries stay minors of the input instead of growing into quotients.  Here
+it runs on a symmetric matrix with pivots down the diagonal in index order.
+Each step leaves the matrix still to be reduced symmetric, so only its
+upper triangle is updated: about half the work of general elimination.
+The rank of the orbit blocks of the exact-rank construction is taken this
+way.
 
-``symmetric_rank`` is the same elimination for a symmetric matrix, with
-pivots taken down the diagonal in index order.  Each step leaves the
-matrix still to be reduced symmetric, so only its upper triangle is
-updated: about half the work of general elimination.  It refuses, rather
-than guesses on, a matrix that is not square and symmetric, and a zero
-diagonal pivot whose row still has a nonzero entry to its right, which a
-positive semidefinite matrix cannot give.  The rank of the orbit blocks of
-the exact-rank construction is taken this way.
+``kernel`` runs the same elimination on the Gram matrix AᵀA of its input A.
+Ax = 0 exactly when xᵀAᵀAx = |Ax|² = 0, so A and AᵀA have one kernel, and
+AᵀA is positive semidefinite, so no pivot of it is refused.  Its pivot at
+column k, when the pivots so far are at columns S, is the Gram determinant
+of A's columns S and k: zero exactly when column k lies in the span of the
+columns before it.  So the nonzero pivots fall on A's echelon pivot
+columns, and the kernel is solved back from their rows in integers, as
+primitive integer vectors.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import mul
 
 from .errors import ConsistencyError
 
 
-def _echelon(rows: list[list[int]], n_cols: int) -> list[int]:
-    """Reduce an integer matrix in place to row echelon form; returns the
-    pivot column of each nonzero row, in row order.  Pivots are the first
-    nonzero entry per column, and every division is exact."""
-    n_rows = len(rows)
-    prev = 1
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        p = pivot_row[c]
-        for i in range(r + 1, n_rows):
-            row = rows[i]
-            f = row[c]
-            if f == 0 and p == prev:
-                continue
-            for j in range(c + 1, n_cols):
-                num = row[j] * p - f * pivot_row[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ConsistencyError("inexact division in fraction-free elimination")
-                row[j] = q
-            row[c] = 0
-        prev = p
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def symmetric_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of a symmetric integer matrix given as a list of rows, by
-    Bareiss elimination with diagonal pivots over the upper triangle.
-
-    A zero pivot whose row is zero is skipped, the previous pivot kept, as
-    ``_echelon`` skips an empty column.  Raises ``ConsistencyError`` for a
-    matrix that is not square and symmetric, and for a zero pivot whose row
-    is not zero: no positive semidefinite matrix has one, and another
-    pivot order would be needed."""
-    rows = [list(row) for row in matrix]
+def _reduce_symmetric(rows: list[list[int]]) -> list[int]:
+    """Reduce a symmetric integer matrix in place by Bareiss elimination
+    with diagonal pivots over the upper triangle; returns the indices of
+    its nonzero pivots.  Row k then holds pivot k's reduced row from column
+    k on.  A zero pivot whose row is zero is skipped, the previous pivot
+    kept.  Raises ``ConsistencyError`` for a matrix that is not square and
+    symmetric, and for a zero pivot whose row is not zero: no positive
+    semidefinite matrix has one, and another pivot order would be needed."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ConsistencyError(
@@ -81,7 +48,7 @@ def symmetric_rank(matrix: Sequence[Sequence[int]]) -> int:
             f"entry ({j}, {i}) is {rows[j][i]}"
         )
     prev = 1
-    found = 0
+    pivots: list[int] = []
     for k, pivot_row in enumerate(rows):
         p = pivot_row[k]
         if p == 0:
@@ -102,20 +69,32 @@ def symmetric_rank(matrix: Sequence[Sequence[int]]) -> int:
                     raise ConsistencyError("inexact division in fraction-free elimination")
                 row[j] = q
         prev = p
-        found += 1
-    return found
+        pivots.append(k)
+    return pivots
+
+
+def symmetric_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank of a symmetric integer matrix given as a list of rows: the
+    number of nonzero pivots that ``_reduce_symmetric`` finds."""
+    return len(_reduce_symmetric([list(row) for row in matrix]))
 
 
 def kernel(matrix: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel of an integer matrix with ``n_cols``
+    """Basis of the right kernel of an integer matrix A with ``n_cols``
     columns: one primitive integer vector per non-pivot column, positive in
     that column and 0 in every other non-pivot column, in column order.
-    Each pivot entry is solved in integers: the vector is first scaled by
-    the least positive factor that lets the pivot divide the entry's
-    numerator, and the entry is prime to that factor, so the vector stays
-    primitive."""
-    rows = [list(row) for row in matrix]
-    pivots = _echelon(rows, n_cols)
+    It is the kernel of the Gram matrix AᵀA, reduced by the elimination of
+    ``symmetric_rank``; the nonzero pivots of AᵀA are A's echelon pivot
+    columns.  Each pivot entry is solved in integers from its pivot row:
+    the vector is first scaled by the least positive factor that lets the
+    pivot divide the entry's numerator, and the entry is prime to that
+    factor, so the vector stays primitive."""
+    cols = [[row[c] for row in matrix] for c in range(n_cols)]
+    gram = [[0] * n_cols for _ in range(n_cols)]
+    for i, col in enumerate(cols):
+        for j in range(i, n_cols):
+            gram[i][j] = gram[j][i] = sum(map(mul, col, cols[j]))
+    pivots = _reduce_symmetric(gram)
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
@@ -123,7 +102,8 @@ def kernel(matrix: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]
             continue
         vec = [0] * n_cols
         vec[free] = 1
-        for c, row in reversed(list(zip(pivots, rows))):
+        for c in reversed(pivots):
+            row = gram[c]
             p = row[c]
             num = -sum(row[j] * vec[j] for j in range(c + 1, n_cols))
             scale = abs(p) // math.gcd(num, p)

@@ -37,6 +37,7 @@ from .linalg import symmetric_rank
 from .partitions import (
     ExponentVector,
     _check_gamma,
+    _check_ints,
     _check_m_d,
     check_exponent_vector,
     check_partition,
@@ -48,13 +49,14 @@ class CharacterSpec:
     """An integer-valued irreducible character of a permutation group,
     stored per element for fast symmetrizing.
 
-    Construction validates that the values are constant on conjugacy
-    classes, that the degree is positive, and that the character pairs to 1
-    with itself (the irreducibility used by the projection identities).
+    Construction validates that the values are integers (kept as plain
+    ints), that they are constant on conjugacy classes, that the degree is
+    positive, and that the character pairs to 1 with itself (the
+    irreducibility used by the projection identities).
     """
 
     def __init__(self, group: PermutationGroup, values: Mapping[Permutation, int]):
-        element_values = dict(values)
+        element_values = dict(zip(values, _check_ints(values.values(), "character value")))
         if set(element_values) != set(group.elements):
             raise ValueError("need a value for every group element")
         for cls in group.conjugacy_classes():

@@ -99,6 +99,18 @@ def test_group_cap():
         PermutationGroup(parse_generators("(1 2),(1 2 3 4 5)", 5), 5)
 
 
+@pytest.mark.parametrize("generators, m, message", [
+    ([], -1, "m must be at least 1, got -1"),
+    ([(1, 0)], 2.0, "m must be an integer, got 2.0"),
+    ([(1.0, 0.0)], 2, "permutation entries must be integers, got (1.0, 0.0)"),
+    ([(1, 1)], 2, "not a permutation of 2 points: (1, 1)"),
+], ids=["negative-m", "float-m", "float-images", "repeated-image"])
+def test_group_inputs_are_checked(generators, m, message):
+    with pytest.raises(ValueError) as raised:
+        PermutationGroup(generators, m)
+    assert str(raised.value) == message
+
+
 def test_symmetric_constructor():
     for m in range(1, 6):
         assert PermutationGroup.symmetric(m).order == math.factorial(m)

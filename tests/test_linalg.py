@@ -87,8 +87,14 @@ def test_kernel_of_an_integer_matrix_with_large_pivots(case):
     ([[-4, 6, 0, 2], [0, 0, 0, 0], [2, 1, 3, -1], [-4, 6, 0, 2]], 4,
      [(-9, -6, 8, 0), (1, 0, 0, 2)]),
     ([[0, 6, 4, -9], [0, -4, 2, 3]], 4, [(1, 0, 0, 0), (0, 15, 9, 14)]),
+    # in the Gram matrix A^T A, a zero pivot over a zero row follows a nonzero
+    # one, and the next nonzero pivot divides by that earlier pivot
+    ([[1, 0, 2], [3, 0, 1]], 3, [(0, 1, 0)]),
+    ([[0, 2, 0, 4, 1], [0, -1, 0, -2, 3]], 5,
+     [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, -2, 0, 1, 0)]),
 ], ids=["no-rows", "zero", "rank-one", "full-rank", "repeated-and-zero-rows",
-        "negative-pivot", "free-first-column"])
+        "negative-pivot", "free-first-column", "zero-column-between-pivots",
+        "zero-and-doubled-columns"])
 def test_kernel_structured_cases(matrix, n_cols, expected):
     assert _assert_kernel_basis(matrix, n_cols) == expected
 

@@ -89,6 +89,12 @@ def test_character_spec_validation():
         values = {g: 1 for g in g3.elements}
         values[g3.elements[1]] = -1
         CharacterSpec(g3, values)
+    with pytest.raises(ValueError, match="must be integers"):
+        CharacterSpec(group, {(0, 1): 1.0, (1, 0): 1.0})
+    # a bool is an int: the values are stored as plain ints
+    spec = CharacterSpec(group, {(0, 1): True, (1, 0): True})
+    assert spec.degree == 1 and type(spec.degree) is int
+    assert all(type(value) is int for _, value in spec.items())
 
 
 def test_character_spec_from_class_values():
