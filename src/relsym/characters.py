@@ -20,7 +20,7 @@ one type.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -135,16 +135,10 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """
     if phi.m != psi.m:
         raise ValueError("cannot pair class functions of different degrees")
-    classes = _cycle_types(phi.m)
-    total = _class_sum(classes, map(phi.values.__getitem__, classes),
-                       map(psi.values.__getitem__, classes))
+    total = sum(
+        _class_size(lam) * phi.values[lam] * psi.values[lam] for lam in _cycle_types(phi.m)
+    )
     return Fraction(total, math.factorial(phi.m))
-
-
-def _class_sum(classes: Sequence[Partition], phi: Iterable, psi: Iterable) -> int:
-    """Sum over ``classes`` of |K| * phi(K) * psi(K), with the values of phi
-    and psi given in the order of ``classes``: m! times their inner product."""
-    return sum(_class_size(lam) * a * b for lam, a, b in zip(classes, phi, psi, strict=True))
 
 
 @lru_cache(maxsize=512)  # every shape of m <= 12, the default character cap, fits

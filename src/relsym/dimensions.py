@@ -15,10 +15,12 @@ agreement with the exact-rank construction in the symmetrizer module, is the
 package's main acceptance surface; ``DimensionReport.checks`` lists them.
 
 Only the character depends on pi, so a report shares everything else with
-the reports of the same (m, d): the orbit types, the solution counts and
-the decomposition, each cached once per (m, d), and the cycle types of each
-Young subgroup, cached once per shape mu.  The cores return multiplicities;
-the report and each ``dim_via_<name>`` scale them by f^pi, computed once.
+the reports of the same (m, d): the orbit types, the solution counts
+weighted by class size and the decomposition, each cached once per (m, d),
+and the cycle types of each Young subgroup, cached once per shape mu.  The
+character row and f^pi are cached once per pi, for every d.  The cores
+return multiplicities; the report and each ``dim_via_<name>`` scale them by
+f^pi.
 
 A fourth route, ``dim_via_hook_denumerant``, needs no character value: the
 multiplicity is a denumerant with the hook lengths of pi as coins.  It is
@@ -30,6 +32,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
+from functools import lru_cache
+from operator import mul
 
 from . import characters, symmetrizer  # run on first use: vanish runs neither
 from .config import Record
@@ -38,6 +42,7 @@ from .partitions import (
     ExponentVector,
     Partition,
     _check_m_d,
+    _class_size,
     _cycle_types,
     _orbit_types,
     check_partition,
@@ -52,9 +57,10 @@ _denumerant = sys.modules[f"{__package__}.denumerant"]
 ROUTES = ("orbit_sum", "inner_product", "decomposition")
 
 
+@lru_cache(maxsize=512)  # every pi of m <= 12, the default character cap, fits
 def _degree(pi: Partition) -> int:
     """The degree f^pi of chi^pi by the hook length formula, m! / prod of
-    the hook lengths (Frame, Robinson and Thrall)."""
+    the hook lengths (Frame, Robinson and Thrall), for a checked pi."""
     return math.factorial(sum(pi)) // math.prod(_hooks(pi))
 
 
@@ -92,10 +98,7 @@ def dim_via_inner_product(m: int, d: int, pi: Sequence[int]) -> int:
 
 
 def _inner_product(m: int, d: int, pi: Partition) -> int:
-    classes = _cycle_types(m)
-    total = characters._class_sum(
-        classes, characters._row(pi, classes).values(), _denumerant._solution_counts(m, d)
-    )
+    total = sum(map(mul, _character_row(pi), _weighted_counts(m, d)))
     pairing, rem = divmod(total, math.factorial(m))
     if rem or pairing < 0:
         raise ConsistencyError(
@@ -103,6 +106,23 @@ def _inner_product(m: int, d: int, pi: Partition) -> int:
             f"non-negative integer: {total}/{m}!"
         )
     return pairing
+
+
+# read only after ``_check_args`` has checked the character cap, which
+# ``characters._row`` skips when given the classes
+@lru_cache(maxsize=512)  # every pi of m <= 12, the default character cap, fits
+def _character_row(pi: Partition) -> tuple[int, ...]:
+    """chi^pi on the classes of ``_cycle_types(|pi|)``, in their order."""
+    return tuple(characters._row(pi, _cycle_types(sum(pi))).values())
+
+
+@lru_cache(maxsize=128)  # every m <= 8, d <= 12 fits, in any order
+def _weighted_counts(m: int, d: int) -> tuple[int, ...]:
+    """|K| times the solution count on K, for each class K of
+    ``_cycle_types(m)`` in order: paired with a character row, m! times the
+    inner product."""
+    sizes = map(_class_size, _cycle_types(m))
+    return tuple(map(mul, sizes, _denumerant._solution_counts(m, d)))
 
 
 def dim_via_decomposition(m: int, d: int, pi: Sequence[int]) -> int:

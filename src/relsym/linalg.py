@@ -63,6 +63,10 @@ def _reduce_symmetric(rows: list[list[int]]) -> list[int]:
             f = pivot_row[i]  # entry (i, k), which the upper triangle does not keep
             if f == 0 and p == prev:
                 continue
+            if prev == 1:  # division by 1 is exact
+                for j in range(i, n):
+                    row[j] = row[j] * p - f * pivot_row[j]
+                continue
             for j in range(i, n):
                 q, rem = divmod(row[j] * p - f * pivot_row[j], prev)
                 if rem:

@@ -15,6 +15,7 @@ example, the faithful characters of a cyclic group of order three.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +38,6 @@ from .linalg import symmetric_rank
 from .partitions import (
     ExponentVector,
     _check_gamma,
-    _check_ints,
     _check_m_d,
     check_exponent_vector,
     check_partition,
@@ -56,7 +56,14 @@ class CharacterSpec:
     """
 
     def __init__(self, group: PermutationGroup, values: Mapping[Permutation, int]):
-        element_values = dict(zip(values, _check_ints(values.values(), "character value")))
+        element_values = {}
+        for g, value in values.items():
+            try:
+                element_values[g] = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"character values must be integers, got {value!r} for the element {g}"
+                ) from None
         if set(element_values) != set(group.elements):
             raise ValueError("need a value for every group element")
         for cls in group.conjugacy_classes():
@@ -192,70 +199,99 @@ def _indices(values: Iterable[int], n: int) -> bytes | tuple[int, ...]:
     return bytes(values) if n <= 256 else tuple(values)
 
 
+def _level_set_key(vector: ExponentVector) -> tuple[int, ...]:
+    """``vector`` relabelled by first occurrence, each entry replaced by the
+    position where its value first occurs, (2, 0, 2) -> (0, 1, 0): equal
+    exactly for vectors with the same level-set partition, the partition of
+    the positions by equal entries."""
+    return tuple(map(vector.index, vector))
+
+
 # The element tuple compares by value, so equal groups built apart share an
-# entry, and no entry keeps a group alive.  With N orbits of sizes n, an
-# entry holds the |Gamma(m, d)| vectors and N * |G| + sum of
-# n**2 <= 2 * |Gamma| * |G| column indices, a byte each below 257 columns.
-# Within dim --verify's window (m <= 6, |Gamma| <= 1000) every orbit of S_m
-# fits a byte, and S_6 at d = 7 holds the most: 792 vectors and 82,152
-# bytes.  A lib-sweep pass reads 34 keys.
+# entry, and no entry keeps a group alive.  Per level-set class, not per
+# orbit: with C classes whose first orbits have sizes n, an entry holds
+# those orbits' vectors and C * |G| + sum of n**2 <= 2 * |Gamma| * |G|
+# column indices, a byte each below 257 columns.  Within dim --verify's
+# window (m <= 6, |Gamma| <= 1000) every orbit of S_m fits a byte, and S_6
+# at d = 7 holds the most: 14 orbits in 5 classes, whose first orbits hold
+# 396 vectors and 54,936 bytes.  A lib-sweep pass reads 34 keys.
 @lru_cache(maxsize=64)
 def _orbit_structure(
     elements: tuple[Permutation, ...], d: int
-) -> tuple[tuple[tuple[ExponentVector, ...], Sequence[int], Sequence[int]], ...]:
+) -> tuple[tuple[tuple[ExponentVector, ...], Sequence[int], Sequence[int], int], ...]:
     """What the blocks of every character of the group with these sorted
-    ``elements`` at degree ``d`` share, for checked d: per orbit of
-    Gamma(m, d), its vectors in lexicographic order, the column of g.alpha
-    for each element g in order (alpha the orbit's first vector), and the
-    block's fill map, row by row: the entry of row beta = h.alpha in column
-    k is the first row's entry in the column of inverse(h).orbit[k]."""
+    ``elements`` at degree ``d`` share, for checked d, one entry per class
+    of orbits of Gamma(m, d) by level-set partition.
+
+    Two orbits are in one class when the group carries the level-set
+    partition of a vector of one onto that of a vector of the other: the
+    least first-occurrence relabelling over an orbit's vectors is the
+    class's key.  Then giving each value of the one vector the value the
+    other has at the same positions maps the first orbit onto the second
+    and commutes with the group, so the two blocks are one matrix with
+    rows and columns permuted alike, and rank alike.
+
+    Per class, in the order its first orbit appears: that orbit's vectors
+    in lexicographic order, the column of g.alpha for each element g in
+    order (alpha the orbit's first vector), the block's fill map, row by
+    row: the entry of row beta = h.alpha in column k is the first row's
+    entry in the column of inverse(h).orbit[k], and the number of orbits
+    in the class."""
     acting = [_getter(g) for g in elements]
-    structure = []
+    classes: dict[tuple[int, ...], list] = {}
     seen: set[ExponentVector] = set()
     for alpha in enumerate_gamma(len(elements[0]), d):
         if alpha in seen:
             continue
         images = [act(alpha) for act in acting]
+        members = set(images)
+        seen.update(members)
+        key = min(map(_level_set_key, members))
+        if key in classes:
+            classes[key][3] += 1
+            continue
         carrier: dict[ExponentVector, Permutation] = {}  # beta -> an h carrying alpha to it
         for g, beta in zip(elements, images):
             carrier.setdefault(beta, g)
         orbit = tuple(sorted(carrier))
-        seen.update(orbit)
         n = len(orbit)
         column = {beta: j for j, beta in enumerate(orbit)}.__getitem__
         fill = _indices(chain.from_iterable(
             map(column, map(_getter(inverse(carrier[beta])), orbit)) for beta in orbit
         ), n)
-        structure.append((orbit, _indices(map(column, images), n), fill))
-    return tuple(structure)
+        classes[key] = [orbit, _indices(map(column, images), n), fill, 1]
+    return tuple(map(tuple, classes.values()))
 
 
 def _orbit_blocks(
     group: PermutationGroup, chi: CharacterSpec, d: int
-) -> Iterator[tuple[tuple[ExponentVector, ...], list[list[int]]]]:
-    """Yield ``(orbit, block)`` for every orbit of Gamma(m, d) under ``group``:
-    the orbit's vectors in lexicographic order, and the integer rows of the
-    symmetrized monomials over them, scaled by order / degree.
+) -> Iterator[tuple[tuple[ExponentVector, ...], list[list[int]], int]]:
+    """Yield ``(orbit, block, count)`` for every level-set class of orbits
+    of Gamma(m, d) under ``group``: the vectors of the class's first orbit
+    in lexicographic order, the integer rows of the symmetrized monomials
+    over them, scaled by order / degree, and the number of orbits in the
+    class, each of whose blocks is this one with rows and columns permuted
+    alike.
 
-    A row for alpha is non-zero only on alpha's orbit, so these blocks are
-    the whole coefficient matrix, reordered.  The first row sums chi over
-    the elements by the column each sends alpha to; as chi is a class
-    function, row(h.alpha)[h.gamma] = row(alpha)[gamma] fills the other
-    rows.  Only that sum reads chi: the orbits, columns and fill maps are
-    ``_orbit_structure``'s, shared by every character of the group at d.
-    The group check and the checks and cap of ``enumerate_gamma`` run first,
-    on every call.
+    A row for alpha is non-zero only on alpha's orbit, so these blocks,
+    each taken ``count`` times, are the whole coefficient matrix, reordered.
+    The first row sums chi over the elements by the column each sends alpha
+    to; as chi is a class function, row(h.alpha)[h.gamma] = row(alpha)[gamma]
+    fills the other rows.  Only that sum reads chi: the classes, columns and
+    fill maps are ``_orbit_structure``'s, shared by every character of the
+    group at d.  The group check and the checks and cap of
+    ``enumerate_gamma`` run first, on every call.
     """
     _check_group(group, chi)
     _, d = _check_gamma(group.m, d)
     values = chi._by_element.values()  # in the group's element order
-    for orbit, columns, fill in _orbit_structure(group.elements, d):
+    for orbit, columns, fill, count in _orbit_structure(group.elements, d):
         n = len(orbit)
         first = [0] * n
         for j, value in zip(columns, values):
             first[j] += value
         entries = list(map(first.__getitem__, fill))
-        yield orbit, [entries[i:i + n] for i in range(0, n * n, n)]
+        yield orbit, [entries[i:i + n] for i in range(0, n * n, n)], count
 
 
 def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> int:
@@ -263,7 +299,10 @@ def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> in
     matrix whose rows are the symmetrized monomials over all exponent
     vectors, with the common positive factor degree / order cleared.  The
     matrix is block-diagonal by orbit, so its rank is the sum of the
-    orbit blocks' ranks.
+    orbit blocks' ranks.  Orbits whose level-set partitions the group
+    carries onto each other have one block up to a permutation of rows and
+    columns alike (see ``_orbit_structure``), so each level-set class is
+    ranked once, on its first orbit, and counted once per orbit in it.
 
     Each block is the projection onto the isotypic part of its orbit's span,
     scaled by order / degree: symmetric, as chi(g) = chi(inverse(g)) for an
@@ -272,9 +311,10 @@ def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> in
     block that is not symmetric or has a zero pivot above a nonzero row.
     Its rank must equal its trace times degree / order.  A refused block,
     or one whose elimination disagrees with its trace, raises
-    ``ConsistencyError`` naming the orbit by its first vector."""
+    ``ConsistencyError`` naming the class's first orbit by its first
+    vector."""
     total = 0
-    for orbit, block in _orbit_blocks(group, chi, d):
+    for orbit, block, count in _orbit_blocks(group, chi, d):
         trace = sum(block[i][i] for i in range(len(orbit)))
         try:
             block_rank = symmetric_rank(block)
@@ -285,7 +325,7 @@ def dimension_by_rank(group: PermutationGroup, chi: CharacterSpec, d: int) -> in
                 f"the block of the orbit of {orbit[0]} has rank {block_rank}, "
                 f"but its trace gives {Fraction(trace * chi.degree, group.order)}"
             )
-        total += block_rank
+        total += count * block_rank
     return total
 
 

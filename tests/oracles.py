@@ -9,7 +9,8 @@ characters from assigning cycles to blocks, ranks
 from plain rational Gaussian elimination, symmetrized-monomial ranks from
 the whole dense coefficient matrix, subgroup lists from closing
 element sets under products, and orbit types and non-vanishing witnesses
-from filtering all multisets of exponents.
+from filtering all multisets of exponents, and classes of level-set
+partitions by moving every partition's blocks by every group element.
 """
 
 from __future__ import annotations
@@ -85,6 +86,26 @@ def exponent_vectors(m, d):
     return [
         (first,) + rest for first in range(d + 1) for rest in exponent_vectors(m - 1, d - first)
     ]
+
+
+def level_set_partition(vector):
+    """The positions of ``vector`` grouped by equal entries, as a set of sets."""
+    blocks = {}
+    for i, x in enumerate(vector):
+        blocks.setdefault(x, set()).add(i)
+    return frozenset(map(frozenset, blocks.values()))
+
+
+def level_set_class_count(elements, m, d):
+    """The number of classes of the level-set partitions of the degree-d
+    exponent vectors under the permutations ``elements`` of range(m), each
+    partition's class found by moving its blocks by every element."""
+    classes = set()
+    for partition in {level_set_partition(v) for v in exponent_vectors(m, d)}:
+        classes.add(frozenset(
+            frozenset(frozenset(g[i] for i in block) for block in partition) for g in elements
+        ))
+    return len(classes)
 
 
 def verify_trace_identity(m, d, values):

@@ -8,8 +8,14 @@ from oracles import brute_force_witness
 import relsym.dimensions as dimensions
 import relsym.partitions as partitions
 import relsym.symmetrizer as symmetrizer
-from relsym.characters import restricted_trivial_inner_product
+from relsym.characters import (
+    ClassFunction,
+    character_table,
+    inner_product,
+    restricted_trivial_inner_product,
+)
 from relsym.config import use_limits
+from relsym.denumerant import denumerant_class_function
 from relsym.dimensions import (
     ROUTES,
     DimensionReport,
@@ -271,13 +277,26 @@ def test_a_bool_m_is_reported_as_an_int(first, second):
 
 
 def test_a_lowered_cap_refuses_a_report_whose_counts_are_cached():
-    dimension_report(5, 4, (3, 2))
+    dimension_report(5, 4, (3, 2))  # its counts, row and degree are now cached
+    cached = (dimensions._character_row, dimensions._degree, dimensions._weighted_counts)
+    before = [f.cache_info() for f in cached]
     with use_limits(max_character_table_m=4):
         for public in (dimension_report, dim_via_orbit_sum, dim_via_inner_product,
                        dim_via_decomposition):
-            with pytest.raises(ResourceLimitError):
+            with pytest.raises(ResourceLimitError, match="^the degree m of a character row"):
                 public(5, 4, (3, 2))
+    assert [f.cache_info() for f in cached] == before  # the cap refused before any read
     assert dimension_report(5, 4, (3, 2)).dimension == dim_via_hook_denumerant(5, 4, (3, 2))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_inner_product_core_pairs_the_row_with_the_solution_counts(m):
+    table = character_table(m)
+    for d in range(0, 13):
+        counts = denumerant_class_function(m, d)
+        for pi, row in table.items():
+            expected = inner_product(ClassFunction(m, row), counts)
+            assert dimensions._inner_product(m, d, pi) == expected
 
 
 @pytest.mark.parametrize("args, message", [

@@ -9,6 +9,8 @@ from oracles import (
     cycle_type_of,
     dense_rank_dimension,
     fraction_matrix_rank,
+    level_set_class_count,
+    level_set_partition,
     subgroups,
     symmetric_group_elements,
 )
@@ -95,6 +97,17 @@ def test_character_spec_validation():
     spec = CharacterSpec(group, {(0, 1): True, (1, 0): True})
     assert spec.degree == 1 and type(spec.degree) is int
     assert all(type(value) is int for _, value in spec.items())
+
+
+def test_a_non_integer_character_value_is_named_alone():
+    group = PermutationGroup.symmetric(5)
+    values = dict.fromkeys(group.elements, 1)
+    values[group.elements[7]] = 1.0
+    with pytest.raises(ValueError, match="must be integers") as raised:
+        CharacterSpec(group, values)
+    message = str(raised.value)
+    assert f"got 1.0 for the element {group.elements[7]}" in message
+    assert len(message) < 200
 
 
 def test_character_spec_from_class_values():
@@ -239,10 +252,12 @@ def test_orbit_block_rank_equals_the_dense_rank():
 @pytest.mark.parametrize("wrong", [0, 1])
 @pytest.mark.parametrize("off", [1, -1])
 def test_each_block_rank_is_checked_against_its_trace(monkeypatch, wrong, off):
-    # S3, chi^(2,1), d = 2: the orbits of (0, 0, 2) and (0, 1, 1), each of rank 2
+    # S3, chi^(2,1), d = 3: the classes of (0, 0, 3), of rank 2, of (0, 1, 2),
+    # of rank 4, and of (1, 1, 1), of rank 0
     spec = sn_character_spec(3, (2, 1))
-    firsts = [orbit[0] for orbit, _ in _orbit_blocks(spec.group, spec, 2)]
-    assert firsts == [(0, 0, 2), (0, 1, 1)]
+    firsts = [orbit[0] for orbit, _, _ in _orbit_blocks(spec.group, spec, 3)]
+    assert firsts == [(0, 0, 3), (0, 1, 2), (1, 1, 1)]
+    ranks = [2, 4]
     calls = []
 
     def off_by_one(block):
@@ -251,10 +266,21 @@ def test_each_block_rank_is_checked_against_its_trace(monkeypatch, wrong, off):
 
     monkeypatch.setattr(symmetrizer, "symmetric_rank", off_by_one)
     with pytest.raises(ConsistencyError) as info:
-        dimension_by_rank(spec.group, spec, 2)
+        dimension_by_rank(spec.group, spec, 3)
     assert str(info.value) == (
-        f"the block of the orbit of {firsts[wrong]} has rank {2 + off}, but its trace gives 2"
+        f"the block of the orbit of {firsts[wrong]} has rank {ranks[wrong] + off}, "
+        f"but its trace gives {ranks[wrong]}"
     )
+
+
+def test_orbits_of_one_level_set_class_share_one_block():
+    # S3, chi^(2,1), d = 2: the orbits of (0, 0, 2) and (0, 1, 1) both have a
+    # level-set partition {{0, 1}, {2}}, so one block of rank 2 counts twice
+    spec = sn_character_spec(3, (2, 1))
+    [(orbit, block, count)] = _orbit_blocks(spec.group, spec, 2)
+    assert (orbit, count) == (((0, 0, 2), (0, 2, 0), (2, 0, 0)), 2)
+    assert symmetric_rank(block) == 2
+    assert dimension_by_rank(spec.group, spec, 2) == 4
 
 
 def _every_block_case():
@@ -271,35 +297,41 @@ def _every_block_case():
 
 
 def test_every_block_is_symmetric_and_ranked_alike_by_both_eliminations():
-    n_blocks = 0
+    n_blocks = n_orbits = 0
     for group, spec, max_d in _every_block_case():
         for d in range(0, max_d + 1):
-            for _, block in _orbit_blocks(group, spec, d):
+            for _, block, count in _orbit_blocks(group, spec, d):
                 assert block == [list(column) for column in zip(*block)]
                 assert symmetric_rank(block) == fraction_matrix_rank(block)
                 n_blocks += 1
-    assert n_blocks == 3206
+                n_orbits += count
+    assert (n_blocks, n_orbits) == (2284, 3206)
 
 
 @pytest.mark.parametrize("tamper, reason", [
     (lambda block: block[1].__setitem__(0, block[1][0] + 1),
-     "the matrix is not symmetric: entry (1, 0) is 0, entry (0, 1) is -1"),
+     ["the matrix is not symmetric: entry (1, 0) is 0, entry (0, 1) is -1",
+      "the matrix is not symmetric: entry (1, 0) is 1, entry (0, 1) is 0"]),
     (lambda block: block[0].__setitem__(0, 0),
-     "diagonal pivot 0 is zero but its row is not: the matrix is not positive semidefinite"),
+     ["diagonal pivot 0 is zero but its row is not: the matrix is not positive semidefinite"]
+     * 2),
 ], ids=["asymmetric", "zero-pivot"])
 @pytest.mark.parametrize("which", [0, 1])
 def test_a_block_that_diagonal_pivots_cannot_rank_names_its_orbit(monkeypatch, tamper, reason,
                                                                    which):
-    # S3, chi^(2,1), d = 2: the orbits of (0, 0, 2) and (0, 1, 1)
+    # S3, chi^(2,1), d = 3: the classes of (0, 0, 3), (0, 1, 2) and (1, 1, 1)
     spec = sn_character_spec(3, (2, 1))
-    blocks = list(_orbit_blocks(spec.group, spec, 2))
-    assert [orbit[0] for orbit, _ in blocks] == [(0, 0, 2), (0, 1, 1)]
-    assert [block for _, block in blocks] == [[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]] * 2
+    blocks = list(_orbit_blocks(spec.group, spec, 3))
+    assert [orbit[0] for orbit, _, _ in blocks] == [(0, 0, 3), (0, 1, 2), (1, 1, 1)]
+    assert blocks[0][1] == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert blocks[1][1][:2] == [[2, 0, 0, -1, -1, 0], [0, 2, -1, 0, 0, -1]]
     tamper(blocks[which][1])
     monkeypatch.setattr(symmetrizer, "_orbit_blocks", lambda group, chi, d: iter(blocks))
     with pytest.raises(ConsistencyError) as raised:
-        dimension_by_rank(spec.group, spec, 2)
-    assert str(raised.value) == f"the block of the orbit of {blocks[which][0][0]}: {reason}"
+        dimension_by_rank(spec.group, spec, 3)
+    assert str(raised.value) == (
+        f"the block of the orbit of {blocks[which][0][0]}: {reason[which]}"
+    )
 
 
 _BLOCK_GROUPS = [
@@ -322,8 +354,8 @@ def test_orbit_blocks_are_the_scaled_symmetrized_monomials(group, max_d):
         for spec in specs:
             scale = Fraction(group.order, spec.degree)
             for d in range(0, max_d + 1):
-                orbits = []
-                for orbit, block in _orbit_blocks(group, spec, d):
+                covered = 0
+                for orbit, block, count in _orbit_blocks(group, spec, d):
                     assert set(orbit) == {apply_to_exponents(g, orbit[0]) for g in group.elements}
                     assert len(block) == len(orbit)
                     for alpha, row in zip(orbit, block):
@@ -331,8 +363,69 @@ def test_orbit_blocks_are_the_scaled_symmetrized_monomials(group, max_d):
                         assert {beta: v for beta, v in zip(orbit, row) if v} == {
                             beta: c * scale for beta, c in poly.coefficients.items()
                         }
-                    orbits.extend(orbit)
-                assert sorted(orbits) == enumerate_gamma(group.m, d)
+                    covered += count * len(orbit)  # the orbits of one class have one size
+                assert covered == len(enumerate_gamma(group.m, d))
+
+
+# The level-set partitions of m positions all occur by d = m(m - 1) / 2, where
+# the vector 0, 1, ..., m - 1 has m blocks; within dim --verify's window
+# (|Gamma(m, d)| <= 1000) that is d <= 9 at m = 5.  Every orbit at d <= 9
+# is checked, for every pi of m <= 5 (S3's and S4's integer irreducibles
+# among them) and every integer irreducible of D4, V4, C5, D5 and A4.
+_PER_ORBIT_MAX_D = 9
+_PER_ORBIT_GROUPS = [
+    ("D4", 4, "(1 2 3 4), (1 3)"),
+    ("V4", 4, "(1 2)(3 4), (1 3)(2 4)"),
+    ("C5", 5, "(1 2 3 4 5)"),
+    ("D5", 5, "(1 2 3 4 5), (2 5)(3 4)"),
+    ("A4", 4, "(1 2 3), (2 3 4)"),
+]
+
+
+def _per_orbit_cases():
+    cases = [pytest.param(sn_character_spec(m, pi), id=f"S{m}-{','.join(map(str, pi))}")
+             for m in range(1, 6) for pi in enumerate_partitions(m)]
+    for name, m, gens in _PER_ORBIT_GROUPS:
+        group = PermutationGroup(parse_generators(gens, m), m)
+        cases += [pytest.param(spec, id=f"{name}-{k}")
+                  for k, spec in enumerate(_integer_irreducible_specs(group))]
+    return cases
+
+
+@pytest.mark.parametrize("spec", _per_orbit_cases())
+def test_every_orbit_block_is_its_class_block_permuted(spec):
+    group = spec.group
+    scale = Fraction(group.order, spec.degree)
+    for d in range(0, _PER_ORBIT_MAX_D + 1):
+        classes = list(_orbit_blocks(group, spec, d))
+        # each level-set partition of a first orbit's vectors, to its class
+        # and the vector that has it
+        firsts = {}
+        for k, (first, _, _) in enumerate(classes):
+            for beta in first:
+                firsts.setdefault(level_set_partition(beta), (k, beta))
+        counts = [0] * len(classes)
+        seen = set()
+        for alpha in enumerate_gamma(group.m, d):
+            if alpha in seen:
+                continue
+            orbit = sorted({apply_to_exponents(g, alpha) for g in group.elements})
+            seen.update(orbit)
+            k, beta = firsts[level_set_partition(alpha)]
+            first, class_block, _ = classes[k]
+            counts[k] += 1
+            block = []
+            for gamma in orbit:
+                coefficients = symmetrize_monomial(group, spec, gamma).coefficients
+                block.append([int(coefficients.get(delta, 0) * scale) for delta in orbit])
+            assert symmetric_rank(block) == symmetric_rank(class_block)
+            # relabelling alpha's values as beta's maps the orbit onto the first one
+            relabel = dict(zip(alpha, beta))
+            position = {v: i for i, v in enumerate(first)}
+            moved = [position[tuple(map(relabel.__getitem__, gamma))] for gamma in orbit]
+            assert sorted(moved) == list(range(len(first)))
+            assert block == [[class_block[i][j] for j in moved] for i in moved]
+        assert counts == [count for _, _, count in classes]
 
 
 def test_a_block_over_256_columns_keeps_its_entries():
@@ -341,9 +434,11 @@ def test_a_block_over_256_columns_keeps_its_entries():
     group = sn_character_spec(6, (6,)).group
     spec = sn_character_spec(6, (5, 1))
     scale = Fraction(group.order, spec.degree)
-    orbit, block = next((o, b) for o, b in _orbit_blocks(group, spec, 10) if len(o) > 256)
+    orbit, block = next((o, b) for o, b, _ in _orbit_blocks(group, spec, 10) if len(o) > 256)
     assert (len(orbit), orbit[0]) == (360, (0, 0, 1, 2, 3, 4))
-    assert {type(f) for o, _, f in _orbit_structure(group.elements, 10) if len(o) > 256} == {tuple}
+    assert {type(f) for o, _, f, _ in _orbit_structure(group.elements, 10) if len(o) > 256} == {
+        tuple
+    }
     for alpha, row in list(zip(orbit, block))[:: 90]:
         poly = symmetrize_monomial(group, spec, alpha)
         assert {beta: v for beta, v in zip(orbit, row) if v} == {
@@ -389,18 +484,17 @@ def test_equal_groups_built_apart_share_one_orbit_structure():
 
 @pytest.mark.parametrize("group, max_d", [(g, d) for _, g, d in _BLOCK_GROUPS],
                          ids=[name for name, _, _ in _BLOCK_GROUPS])
-def test_rank_runs_once_per_orbit(monkeypatch, group, max_d):
+def test_rank_runs_once_per_level_set_class(monkeypatch, group, max_d):
     calls = []
     monkeypatch.setattr(symmetrizer, "symmetric_rank",
                         lambda block: calls.append(block) or symmetric_rank(block))
     _orbit_structure.cache_clear()
     for d in range(0, max_d + 1):
-        vectors = enumerate_gamma(group.m, d)
-        orbits = {frozenset(apply_to_exponents(g, a) for g in group.elements) for a in vectors}
+        classes = level_set_class_count(group.elements, group.m, d)
         for spec in _integer_irreducible_specs(group):  # cold for the first, then warm
             calls.clear()
             dimension_by_rank(group, spec, d)
-            assert len(calls) == len(orbits)
+            assert len(calls) == classes
 
 
 _GROUP_CAP = (
