@@ -2,15 +2,19 @@
 
 Irreducible character values are computed by the Murnaghan-Nakayama rule in
 its first-column hook (beta number) form.  A partition ``lam`` of length l is
-encoded by the strictly decreasing set ``{lam[i] + (l - 1 - i)}``; removing a
-border strip of length r means lowering one beta number by r into a vacant
-slot, and the strip height is the number of beta numbers jumped over.
-chi^pi(lam) is the signed count of paths from ``pi`` to the empty shape
-that remove one ribbon per cycle of ``lam``, taken by the layer walk
-``tableaux._layer_walk``; the ribbon removals are cached per (shape, r).
-Character values are cached once, in ``_mn_value``; a row, a table and a
-class function built from multiplicities are views of that cache, and all
-of them check ``Limits.max_character_table_m`` before any work.
+encoded by the strictly decreasing set ``{lam[i] + (l - 1 - i)}``; removing
+(adding) a border strip of length r means lowering (raising) one beta number
+by r into a vacant slot, and the strip height is the number of beta numbers
+jumped over.  chi^pi(lam) is the signed count of paths from ``pi`` to the
+empty shape that remove one ribbon per cycle of ``lam``, taken by the layer
+walk ``tableaux._layer_walk``; the unit cycles are finished by the hook
+length formula, since f^nu paths remove single cells from nu.  Single
+values are cached in ``_mn_value``, and a row, the restricted trivial sums
+and a class function built from multiplicities read that cache.  A table
+runs the walk the other way: one walk per class lam, adding ribbons to the
+empty shape, whose last layer holds chi^pi(lam) for every pi, so it fills
+no value cache.  Rows and tables check ``Limits.max_character_table_m``
+before any work.
 
 Class functions are stored by cycle type with exact integer or rational
 values, so characters, denumerant traces, and their inner products share
@@ -35,22 +39,23 @@ from .partitions import (
     check_partition,
     multiplicity_factorial,
 )
-from .tableaux import _kostka_column, _layer_walk
+from .tableaux import _degree, _kostka_column, _layer_walk
 
 
-@lru_cache(maxsize=None)
-def _ribbons_removed(shape: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
-    """Every shape left by removing a border strip of length ``r`` from
-    ``shape``, with the sign (-1)**height of that strip."""
-    length = len(shape)
-    beta = [shape[i] + (length - 1 - i) for i in range(length)]
+def _moved_beads(shape: Partition, shift: int, pad: int) -> tuple[tuple[Partition, int], ...]:
+    """Every shape whose beta-set is that of ``shape`` with ``pad`` zero
+    parts appended and one bead moved by ``shift`` into a vacant slot, with
+    the sign (-1)**(beads jumped), the height of the border strip."""
+    length = len(shape) + pad
+    beta = [part + length - 1 - i for i, part in enumerate(shape)] + list(range(pad - 1, -1, -1))
     occupied = set(beta)
     out = []
     for b in beta:
-        nb = b - r
+        nb = b + shift
         if nb < 0 or nb in occupied:
             continue
-        height = sum(1 for other in beta if nb < other < b)
+        low, high = sorted((b, nb))
+        height = sum(1 for other in beta if low < other < high)
         new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         new_shape = tuple(
             x - (length - 1 - i) for i, x in enumerate(new_beta) if x - (length - 1 - i) > 0
@@ -60,8 +65,25 @@ def _ribbons_removed(shape: Partition, r: int) -> tuple[tuple[Partition, int], .
 
 
 @lru_cache(maxsize=None)
+def _ribbons_removed(shape: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """Every shape left by removing a border strip of length ``r`` from
+    ``shape``, with the sign (-1)**height of that strip."""
+    return _moved_beads(shape, -r, 0)
+
+
+@lru_cache(maxsize=1024)  # the tables of every m <= 12, the default character cap, use 618
+def _ribbons_added(shape: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """Every shape made by adding a border strip of length ``r`` to
+    ``shape``, with the sign (-1)**height of that strip: r zero parts give
+    the strip room for r new rows."""
+    return _moved_beads(shape, r, r)
+
+
+@lru_cache(maxsize=None)
 def _mn_value(shape: Partition, cycles: Partition) -> int:
-    return _layer_walk(shape, cycles, _ribbons_removed).get((), 0)
+    # the unit cycles remove single cells in every order: f^nu ways from nu
+    layer = _layer_walk(shape, [c for c in cycles if c > 1], _ribbons_removed)
+    return sum(count * _degree(nu) for nu, count in layer.items())
 
 
 def irreducible_character_value(pi: Sequence[int], lam: Sequence[int]) -> int:
@@ -88,9 +110,12 @@ def _row(pi: Partition, classes: Sequence[Partition] | None = None) -> dict[Part
 
 def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
     """Every irreducible character of the symmetric group of degree ``m``,
-    keyed ``table[pi][lam]``; each row is a view of ``_mn_value``."""
+    keyed ``table[pi][lam]``.  Column lam is one walk up from the empty
+    shape that adds a ribbon per part of lam, smallest first: its last
+    layer is chi^pi(lam) for every pi at once."""
     classes = _classes(m)
-    return {pi: _row(pi, classes) for pi in classes}
+    columns = [_layer_walk((), lam[::-1], _ribbons_added) for lam in classes]
+    return {pi: {lam: col.get(pi, 0) for lam, col in zip(classes, columns)} for pi in classes}
 
 
 class ClassFunction(Record):

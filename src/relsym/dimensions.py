@@ -48,20 +48,13 @@ from .partitions import (
     check_partition,
     gamma_size,
 )
-from .tableaux import _b, _hooks
+from .tableaux import _b, _degree
 
 # the denumerant layer, also run on first use; ``relsym.denumerant`` is the
 # function of that name, not the layer
 _denumerant = sys.modules[f"{__package__}.denumerant"]
 
 ROUTES = ("orbit_sum", "inner_product", "decomposition")
-
-
-@lru_cache(maxsize=512)  # every pi of m <= 12, the default character cap, fits
-def _degree(pi: Partition) -> int:
-    """The degree f^pi of chi^pi by the hook length formula, m! / prod of
-    the hook lengths (Frame, Robinson and Thrall), for a checked pi."""
-    return math.factorial(sum(pi)) // math.prod(_hooks(pi))
 
 
 def _check_args(

@@ -16,6 +16,7 @@ which grows all shapes at once.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from functools import lru_cache, partial
 
@@ -110,6 +111,13 @@ def _hooks(pi: Partition) -> tuple[int, ...]:
     return tuple(
         part - j + heights[j] - i - 1 for i, part in enumerate(pi) for j in range(part)
     )
+
+
+@lru_cache(maxsize=512)  # every pi of m <= 12, the default character cap, fits
+def _degree(pi: Partition) -> int:
+    """The degree f^pi of chi^pi by the hook length formula, m! / prod of
+    the hook lengths (Frame, Robinson and Thrall), for a checked pi."""
+    return math.factorial(sum(pi)) // math.prod(_hooks(pi))
 
 
 def _b(pi: Partition) -> int:

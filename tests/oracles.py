@@ -384,10 +384,17 @@ def class_sizes_by_counting(m):
     return sizes
 
 
-def oracle_character_table(m):
+def assignment_induced_trivial_values(mu, m):
+    """:func:`induced_trivial_by_assignment` of ``mu`` on every cycle type
+    of degree ``m``, the values of :func:`coset_induced_trivial_values`."""
+    return {lam: induced_trivial_by_assignment(mu, lam) for lam in _partitions_desc(m)}
+
+
+def oracle_character_table(m, induced=coset_induced_trivial_values):
     """The irreducible character table built without the hook/strip
-    machinery: induced trivial characters from all Young subgroups (coset
-    enumeration), peeled greedily in reverse lexicographic shape order.
+    machinery: induced trivial characters from all Young subgroups (by
+    default coset enumeration; ``induced(mu, m)`` gives their values),
+    peeled greedily in reverse lexicographic shape order.
 
     The permutation character of a shape contains its own irreducible once
     and otherwise only irreducibles of lexicographically larger shapes, so
@@ -398,7 +405,7 @@ def oracle_character_table(m):
     shapes = _partitions_desc(m)
     table = {}
     for mu in shapes:
-        phi = {lam: Fraction(v) for lam, v in coset_induced_trivial_values(mu, m).items()}
+        phi = {lam: Fraction(v) for lam, v in induced(mu, m).items()}
         for pi, chi in table.items():
             coeff = (
                 sum(sizes[lam] * phi[lam] * chi[lam] for lam in sizes) / order

@@ -126,7 +126,8 @@ def test_the_memo_guard_sees_every_unbounded_form():
     ("denumerant", "_solution_counts", 128),
     ("denumerant", "_young_decomposition", 128),
     ("characters", "young_subgroup_classes", 512),
-    ("dimensions", "_degree", 512),
+    ("characters", "_ribbons_added", 1024),
+    ("tableaux", "_degree", 512),
     ("dimensions", "_character_row", 512),
     ("dimensions", "_weighted_counts", 128),
     ("symmetrizer", "_orbit_structure", 64),

@@ -9,11 +9,15 @@ from oracles import (
     coset_induced_trivial_values,
     hook_length_dimension,
     induced_trivial_by_assignment,
+    assignment_induced_trivial_values,
     oracle_character_table,
 )
 from relsym.characters import (
     ClassFunction,
     _mn_value,
+    _ribbons_added,
+    _ribbons_removed,
+    _row,
     character_table,
     induced_trivial_character,
     inner_product,
@@ -23,7 +27,7 @@ from relsym.characters import (
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
 from relsym.partitions import _class_size, enumerate_partitions, multiplicity_factorial
-from relsym.tableaux import kostka
+from relsym.tableaux import _layer_walk, kostka
 
 
 def _trivial(m):
@@ -63,6 +67,54 @@ def test_character_table_bound():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_table_matches_coset_peeling_oracle(m):
     assert character_table(m) == oracle_character_table(m)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_table_matches_assignment_peeling_oracle(m):
+    peeled = oracle_character_table(m, induced=assignment_induced_trivial_values)
+    assert character_table(m) == peeled
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_column_built_table_equals_the_removal_rows(m):
+    assert character_table(m) == {pi: _row(pi) for pi in enumerate_partitions(m)}
+
+
+def test_ribbons_added_inverts_ribbons_removed():
+    # every shape of size <= 10 and every r <= 10: adding an r-ribbon reaches
+    # exactly the shapes that removing one leads back from, with equal signs
+    shapes = [()] + [pi for n in range(1, 21) for pi in enumerate_partitions(n)]
+    for r in range(1, 11):
+        back = {}
+        for nu in shapes:
+            for mu, sign in _ribbons_removed(nu, r):
+                back.setdefault(mu, []).append((nu, sign))
+        for mu in shapes:
+            if sum(mu) <= 10:
+                assert sorted(_ribbons_added(mu, r)) == sorted(back.get(mu, [])), (mu, r)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_column_orthogonality(m):
+    table = character_table(m)
+    parts = enumerate_partitions(m)
+    for lam in parts:
+        for mu in parts:
+            total = sum(table[pi][lam] * table[pi][mu] for pi in parts)
+            assert total == (math.factorial(m) // _class_size(lam) if lam == mu else 0)
+
+
+def test_character_table_adds_no_value_to_the_value_cache():
+    _mn_value.cache_clear()
+    character_table(12)
+    assert _mn_value.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_unit_cycles_by_hook_lengths_equal_the_full_walk(m):
+    for pi in enumerate_partitions(m):
+        for lam in enumerate_partitions(m):
+            assert _mn_value(pi, lam) == _layer_walk(pi, lam, _ribbons_removed).get((), 0)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -182,10 +234,11 @@ def test_class_function_needs_exactly_the_cycle_types(keys):
 
 
 def test_character_table_concurrent_construction():
-    # the threads build m = 6 from an empty value cache, so that they fill it
+    # the threads build m = 6 from empty caches, so that they fill them
     # concurrently
     expected = oracle_character_table(6)
     _mn_value.cache_clear()
+    _ribbons_added.cache_clear()
     results = []
 
     def worker():
@@ -209,4 +262,5 @@ def test_character_table_concurrent_construction():
 @pytest.mark.parametrize("m", range(1, 15))
 def test_character_degrees_are_hook_lengths(m):
     for pi in enumerate_partitions(m):
-        assert _mn_value(pi, (1,) * m) == hook_length_dimension(pi)
+        # the full removal walk: _mn_value finishes unit cycles by hook lengths
+        assert _layer_walk(pi, (1,) * m, _ribbons_removed)[()] == hook_length_dimension(pi)

@@ -201,6 +201,25 @@ def test_vanish_above_b_answers_at_once(m, d, witness):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("n", [20, 31])
+def test_character_on_the_identity_of_a_staircase_answers_at_once(n):
+    # chi^pi(1^m) = f^pi: the unit cycles are finished by the hook length
+    # formula, where a walk removing one cell per layer ran past 15 s
+    src = Path(__file__).resolve().parent.parent / "src"
+    pi = tuple(range(n, 0, -1))
+    ones = ",".join(["1"] * sum(pi))
+    argv = ["character", "--partition", ",".join(map(str, pi)), "--class", ones, "--json"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "relsym.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=25,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["result"] == {"value": hook_length_dimension(pi)}
+    assert elapsed < 1.0
+
+
 def test_decompose_at_m_40_answers_in_seconds():
     # p(40) = 37,338 coin DPs with hook lengths as coins; streaming the
     # orbits and filling Kostka columns took about 14 s here
