@@ -13,8 +13,8 @@ values are cached in ``_mn_value``, and a row, the restricted trivial sums
 and a class function built from multiplicities read that cache.  A table
 runs the walk the other way: one walk per class lam, adding ribbons to the
 empty shape, whose last layer holds chi^pi(lam) for every pi, so it fills
-no value cache.  Rows and tables check ``Limits.max_character_table_m``
-before any work.
+no value cache, and its memo of added ribbons lives for that one table.
+Rows and tables check ``Limits.max_character_table_m`` before any work.
 
 Class functions are stored by cycle type with exact integer or rational
 values, so characters, denumerant traces, and their inner products share
@@ -71,7 +71,6 @@ def _ribbons_removed(shape: Partition, r: int) -> tuple[tuple[Partition, int], .
     return _moved_beads(shape, -r, 0)
 
 
-@lru_cache(maxsize=1024)  # the tables of every m <= 12, the default character cap, use 618
 def _ribbons_added(shape: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
     """Every shape made by adding a border strip of length ``r`` to
     ``shape``, with the sign (-1)**height of that strip: r zero parts give
@@ -114,7 +113,10 @@ def character_table(m: int) -> dict[Partition, dict[Partition, int]]:
     shape that adds a ribbon per part of lam, smallest first: its last
     layer is chi^pi(lam) for every pi at once."""
     classes = _classes(m)
-    columns = [_layer_walk((), lam[::-1], _ribbons_added) for lam in classes]
+    # a memo for this table only: the columns share their shapes, and a
+    # bound fit for one m would thrash at a larger one
+    added = lru_cache(maxsize=None)(_ribbons_added)
+    columns = [_layer_walk((), lam[::-1], added) for lam in classes]
     return {pi: {lam: col.get(pi, 0) for lam, col in zip(classes, columns)} for pi in classes}
 
 

@@ -17,7 +17,8 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from itertools import islice
+from itertools import islice, tee
+from operator import itemgetter
 
 # layers run on first use (see the package docstring): main reads these two
 # only when it needs them, and each handler imports the layers it calls
@@ -85,19 +86,25 @@ def _emit(
 
 def _emit_per_partition(args, pairs, key: str, names: tuple[str, str]) -> None:
     """One row per pair ``(p, v)`` of ``pairs``, in its order: the partition
-    ``p`` and its integer ``v``, keyed by ``names``.  Under ``--json`` the
-    envelope is written as the indenting encoder would print it, without it:
-    a fixed head and tail, and each row filled into one text template in
-    sorted key order.  ``pairs`` has a row per partition of m >= 1, so
-    neither it nor any row's list is empty."""
+    ``p`` of ``args.m`` and its integer ``v``, keyed by ``names``.  Under
+    ``--json`` the envelope is written as the indenting encoder would print
+    it, without it: a fixed head and tail, and each row filled into one
+    positional text template whose slots follow the sorted keys.  The head
+    goes out with the first batch of rows, so an error in that batch comes
+    before any output.  It has a row per partition of m >= 1, so neither it
+    nor any row's list is empty."""
     if not args.json:
         print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in pairs))
         return
-    slots = {names[0]: "[\n          %(p)s\n        ]", names[1]: "%(v)d"}
+    slots = {names[0]: "[\n          %s\n        ]", names[1]: "%d"}
     row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
     row += "\n      }"
     sep = ",\n          "
-    rows = (row % {"p": sep.join(map(str, p)), "v": int(v)} for p, v in pairs)
+    part = [str(i) for i in range(args.m + 1)].__getitem__  # each part is at most m
+    if names[0] < names[1]:
+        rows = (row % (sep.join(map(part, p)), v) for p, v in pairs)
+    else:
+        rows = (row % (v, sep.join(map(part, p))) for p, v in pairs)
     write = sys.stdout.write
     write(
         f'{{\n  "command": "{args.command}",\n  "cross_checks": [],\n'
@@ -123,12 +130,13 @@ def _cmd_denumerant(args) -> None:
 
 
 def _cmd_qchar(args) -> None:
-    # the values of denumerant_class_function, after its checks, without
-    # building its dict: the rows come straight from the counts
-    from .denumerant import _solution_counts
-    from .partitions import _check_m_d, _cycle_types
+    # the values of denumerant_class_function, after its checks, streamed
+    # from the partition walk: no tuple of the classes, no cache entry
+    from .denumerant import _solution_stream
+    from .partitions import _check_m_d, _partition_walk
     m, d = _check_m_d(args.m, args.d)
-    pairs = zip(_cycle_types(m), _solution_counts(m, d), strict=True)
+    walk, classes = tee(_partition_walk(m, m))  # zip reads both in step: tee holds one
+    pairs = zip(map(itemgetter(1), classes), _solution_stream(m, d, walk))
     _emit_per_partition(args, pairs, "classes", ("cycle_type", "value"))
 
 

@@ -20,13 +20,14 @@ independent cross-check.
 Neither the solution counts nor the decomposition depends on a character,
 so each is computed once per (m, d) and kept in a bounded cache
 (``_solution_counts``, ``_young_decomposition``) that every dimension
-report of that (m, d) reads.  The public names check (m, d) on every call
-and hand out a fresh dict, never the cached one.
+report of that (m, d) reads; ``qchar`` reads the counts as a stream
+instead (``_solution_stream``) and keeps none.  The public names check
+(m, d) on every call and hand out a fresh dict, never the cached one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -91,7 +92,17 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
 @lru_cache(maxsize=128)  # every m <= 8, d <= 12 fits, in any order
 def _solution_counts(m: int, d: int) -> tuple[int, ...]:
     """The values of :func:`denumerant_class_function` for checked ints m
-    and d, in the order of ``_cycle_types(m)``.
+    and d, in the order of ``_cycle_types(m)``: :func:`_solution_stream`
+    over the cached walk."""
+    classes, changes = _walked_partitions(m)
+    return tuple(_solution_stream(m, d, zip(changes, classes)))
+
+
+def _solution_stream(m: int, d: int, walk: Iterable[tuple[int, Partition]]) -> Iterator[int]:
+    """The value on lam for each ``(changed, lam)`` of ``walk``, a walk of
+    the partitions of m as ``_partition_walk`` gives it: the values of
+    :func:`_solution_counts`, each as it is reached, so a caller that stops
+    early pays only for what it read.
 
     Every cycle type is P + 1^k, with P its parts above 1.  The k coins of
     value 1 pay an amount i in C(i + k - 1, k - 1) ways, so the value is
@@ -104,10 +115,8 @@ def _solution_counts(m: int, d: int) -> tuple[int, ...]:
     ones = [[0] * d + [1]]  # ones[k]: the counts for 1^k, reversed
     for _ in range(m):
         ones.append(list(accumulate(reversed(ones[-1])))[::-1])
-    values = []
     stack = [[1] + [0] * d]  # stack[i]: the counts for the first i parts above 1
-    classes, changes = _walked_partitions(m)
-    for changed, lam in zip(changes, classes):
+    for changed, lam in walk:
         del stack[changed + 1:]
         for a in lam[len(stack) - 1:]:
             if a == 1:
@@ -115,8 +124,7 @@ def _solution_counts(m: int, d: int) -> tuple[int, ...]:
             counts = stack[-1].copy()
             _add_coin(counts, a)
             stack.append(counts)
-        values.append(sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1])))
-    return tuple(values)
+        yield sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1]))
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:

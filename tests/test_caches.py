@@ -126,7 +126,6 @@ def test_the_memo_guard_sees_every_unbounded_form():
     ("denumerant", "_solution_counts", 128),
     ("denumerant", "_young_decomposition", 128),
     ("characters", "young_subgroup_classes", 512),
-    ("characters", "_ribbons_added", 1024),
     ("tableaux", "_degree", 512),
     ("dimensions", "_character_row", 512),
     ("dimensions", "_weighted_counts", 128),
@@ -136,3 +135,31 @@ def test_the_memo_guard_sees_every_unbounded_form():
 def test_the_shared_report_caches_are_bounded(module, name, maxsize):
     cached = getattr(importlib.import_module(f"relsym.{module}"), name)
     assert cached.cache_info().maxsize == maxsize
+
+
+def test_the_ribbon_memo_lives_for_one_table(monkeypatch):
+    # character_table(m) memoizes _ribbons_added in an lru_cache it makes
+    # inside the call and drops on return: it is no shared memo, so it has
+    # no bound to pin, one table computes each (shape, r) once, and the next
+    # table computes its moves afresh
+    characters = importlib.import_module("relsym.characters")
+    config = importlib.import_module("relsym.config")
+    assert not hasattr(characters._ribbons_added, "cache_info")
+    moves = []
+    moved_beads = characters._moved_beads
+
+    def counted(shape, shift, pad):
+        moves.append((shape, shift))
+        return moved_beads(shape, shift, pad)
+
+    monkeypatch.setattr(characters, "_moved_beads", counted)
+    # above the default cap, where a shared memo of 1,024 entries made
+    # 14,224 moves for these 5,632
+    with config.use_limits(max_character_table_m=20):
+        characters.character_table(20)
+    assert len(moves) == len(set(moves)) == 5632
+    moves.clear()
+    characters.character_table(8)
+    first = list(moves)
+    characters.character_table(8)
+    assert first and moves == first + first

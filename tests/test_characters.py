@@ -26,7 +26,12 @@ from relsym.characters import (
 )
 from relsym.config import use_limits
 from relsym.errors import ResourceLimitError
-from relsym.partitions import _class_size, enumerate_partitions, multiplicity_factorial
+from relsym.partitions import (
+    _class_size,
+    _walked_partitions,
+    enumerate_partitions,
+    multiplicity_factorial,
+)
 from relsym.tableaux import _layer_walk, kostka
 
 
@@ -235,10 +240,11 @@ def test_class_function_needs_exactly_the_cycle_types(keys):
 
 def test_character_table_concurrent_construction():
     # the threads build m = 6 from empty caches, so that they fill them
-    # concurrently
+    # concurrently: each thread's ribbon memo is its own, the classes are
+    # shared
     expected = oracle_character_table(6)
     _mn_value.cache_clear()
-    _ribbons_added.cache_clear()
+    _walked_partitions.cache_clear()
     results = []
 
     def worker():

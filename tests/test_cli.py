@@ -117,6 +117,25 @@ def test_a_reader_closing_the_pipe_is_not_an_error(argv, size):
     assert (code, err) == (0, b"")
 
 
+def test_qchar_stops_when_its_reader_goes():
+    # p(64) = 1,741,630 rows, streamed: the reader leaves after 100 bytes,
+    # and qchar stops at its next full pipe instead of counting every row
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    start = time.perf_counter()
+    with subprocess.Popen(
+        [sys.executable, "-m", "relsym.cli", "qchar", "--m", "64", "--d", "5", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 def test_a_failed_write_of_the_answer_is_one_line_and_exit_1(mode):
@@ -559,9 +578,22 @@ def test_qchar_builds_no_class_function(capsys, monkeypatch):
     reference = _reference_per_partition("qchar", 6, 5)
     monkeypatch.setattr(relsym.characters.ClassFunction, "__init__", refuse)
     assert run(capsys, "qchar", "--m", "6", "--d", "5", "--json") == (0, reference, "")
-    assert run(capsys, "qchar", "--m", "0", "--d", "5") == (
-        1, "", "error: m must be at least 1, got 0\n"
-    )
+    for json_flag in ((), ("--json",)):
+        assert run(capsys, "qchar", "--m", "0", "--d", "5", *json_flag) == (
+            1, "", "error: m must be at least 1, got 0\n"
+        )
+
+
+def test_qchar_leaves_no_cache_entry(capsys):
+    from relsym.partitions import _walked_partitions
+
+    # the package re-exports the function denumerant under the module's name
+    caches = (_walked_partitions, importlib.import_module("relsym.denumerant")._solution_counts)
+    for cache in caches:
+        cache.cache_clear()
+    code, out, err = run(capsys, "qchar", "--m", "36", "--d", "40", "--json")
+    assert (code, err) == (0, "") and len(json.loads(out)["result"]["classes"]) == 17977
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
 
 @pytest.mark.parametrize("command", ["qchar", "decompose"])

@@ -28,7 +28,13 @@ from relsym.denumerant import (
     denumerant_decomposition,
     hook_decomposition,
 )
-from relsym.partitions import _orbit_types, _walked_partitions, enumerate_partitions, gamma_size
+from relsym.partitions import (
+    _orbit_types,
+    _partition_walk,
+    _walked_partitions,
+    enumerate_partitions,
+    gamma_size,
+)
 
 # the package re-exports the function denumerant under the module's name
 denumerant_module = importlib.import_module("relsym.denumerant")
@@ -135,6 +141,32 @@ def test_trailing_ones_match_the_prefix_walk():
 @example(16, 0)
 def test_trailing_ones_match_the_prefix_walk_sweep(m, d):
     assert denumerant_class_function(m, d).values == prefix_walk_class_function(m, d)
+
+
+def _stream(m, d):
+    classes = [lam for _, lam in _partition_walk(m, m)]
+    counts = list(denumerant_module._solution_stream(m, d, _partition_walk(m, m)))
+    return list(zip(classes, counts, strict=True))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_the_solution_stream_counts_each_type_exactly(m):
+    for d in range(31):
+        for lam, count in _stream(m, d):
+            assert count == denumerant(lam, d), (lam, d)
+
+
+def test_the_solution_stream_counts_every_type_of_36_exactly():
+    pairs = _stream(36, 40)
+    assert len(pairs) == 17977
+    assert all(count == denumerant(lam, 40) for lam, count in pairs)
+
+
+@pytest.mark.parametrize("m,d", [(1, 0), (5, 3), (9, 12), (12, 28)])
+def test_the_solution_stream_is_the_cached_counts_in_class_order(m, d):
+    pairs = _stream(m, d)
+    assert [lam for lam, _ in pairs] == list(_cycle_types(m))
+    assert tuple(count for _, count in pairs) == denumerant_module._solution_counts(m, d)
 
 
 @pytest.mark.parametrize("m,d", [(12, 28), (36, 40)])
