@@ -17,8 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from itertools import islice, tee
-from operator import itemgetter
+from itertools import islice
 
 # layers run on first use (see the package docstring): main reads these two
 # only when it needs them, and each handler imports the layers it calls
@@ -86,34 +85,38 @@ def _emit(
 
 def _emit_per_partition(args, pairs, key: str, names: tuple[str, str]) -> None:
     """One row per pair ``(p, v)`` of ``pairs``, in its order: the partition
-    ``p`` of ``args.m`` and its integer ``v``, keyed by ``names``.  Under
-    ``--json`` the envelope is written as the indenting encoder would print
-    it, without it: a fixed head and tail, and each row filled into one
-    positional text template whose slots follow the sorted keys.  The head
-    goes out with the first batch of rows, so an error in that batch comes
-    before any output.  It has a row per partition of m >= 1, so neither it
-    nor any row's list is empty."""
+    ``p`` of ``args.m`` and its integer ``v``, keyed by ``names``, written in
+    batches of rows as they come.  The text is the rows joined by ", " on
+    one line.  Under ``--json`` the envelope is written as the indenting
+    encoder would print it, without it: a fixed head and tail, and each row
+    filled into one positional text template whose slots follow the sorted
+    keys.  The head goes out with the first batch of rows, so an error in
+    that batch comes before any output.  It has a row per partition of
+    m >= 1, so neither it nor any row's list is empty."""
     if not args.json:
-        print(", ".join(f"{_format_partition(p)}: {int(v)}" for p, v in pairs))
-        return
-    slots = {names[0]: "[\n          %s\n        ]", names[1]: "%d"}
-    row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
-    row += "\n      }"
-    sep = ",\n          "
-    part = [str(i) for i in range(args.m + 1)].__getitem__  # each part is at most m
-    if names[0] < names[1]:
-        rows = (row % (sep.join(map(part, p)), v) for p, v in pairs)
+        head, sep, tail = "", ", ", "\n"
+        rows = (f"{_format_partition(p)}: {v}" for p, v in pairs)
     else:
-        rows = (row % (v, sep.join(map(part, p))) for p, v in pairs)
+        head = (
+            f'{{\n  "command": "{args.command}",\n  "cross_checks": [],\n'
+            f'  "inputs": {{\n    "d": {args.d},\n    "m": {args.m}\n  }},\n'
+            f'  "result": {{\n    "{key}": [\n'
+        )
+        sep, tail = ",\n", "\n    ]\n  }\n}\n"
+        slots = {names[0]: "[\n          %s\n        ]", names[1]: "%d"}
+        row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
+        row += "\n      }"
+        between = ",\n          "  # the parts of one partition
+        part = [str(i) for i in range(args.m + 1)].__getitem__  # each part is at most m
+        if names[0] < names[1]:
+            rows = (row % (between.join(map(part, p)), v) for p, v in pairs)
+        else:
+            rows = (row % (v, between.join(map(part, p))) for p, v in pairs)
     write = sys.stdout.write
-    write(
-        f'{{\n  "command": "{args.command}",\n  "cross_checks": [],\n'
-        f'  "inputs": {{\n    "d": {args.d},\n    "m": {args.m}\n  }},\n'
-        f'  "result": {{\n    "{key}": [\n' + ",\n".join(islice(rows, _ROW_BATCH))
-    )
+    write(head + sep.join(islice(rows, _ROW_BATCH)))
     while batch := list(islice(rows, _ROW_BATCH)):
-        write(",\n" + ",\n".join(batch))
-    write("\n    ]\n  }\n}\n")
+        write(sep + sep.join(batch))
+    write(tail)
 
 
 def _cmd_denumerant(args) -> None:
@@ -131,12 +134,12 @@ def _cmd_denumerant(args) -> None:
 
 def _cmd_qchar(args) -> None:
     # the values of denumerant_class_function, after its checks, streamed
-    # from the partition walk: no tuple of the classes, no cache entry
-    from .denumerant import _solution_stream
-    from .partitions import _check_m_d, _partition_walk
+    # from the walk: no tuple of the classes, no cache entry
+    from .denumerant import _solution_walk
+    from .partitions import _check_m_d
     m, d = _check_m_d(args.m, args.d)
-    walk, classes = tee(_partition_walk(m, m))  # zip reads both in step: tee holds one
-    pairs = zip(map(itemgetter(1), classes), _solution_stream(m, d, walk))
+    ones = [(1,) * k for k in range(m + 1)]
+    pairs = ((p + ones[k], count) for p, k, count in _solution_walk(m, d))
     _emit_per_partition(args, pairs, "classes", ("cycle_type", "value"))
 
 

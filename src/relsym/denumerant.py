@@ -17,32 +17,28 @@ those multiplicities directly, one coin DP per pi (``hook_decomposition``);
 the Kostka-weighted orbit types (``denumerant_decomposition``) are its
 independent cross-check.
 
-Neither the solution counts nor the decomposition depends on a character,
-so each is computed once per (m, d) and kept in a bounded cache
+The solution counts of all cycle types of S_m come from one post-order
+walk over their parts above 1 (``_solution_walk``): no part 1 is walked,
+and a type with no room left for a part above 1 runs no coin pass of its
+own.  Neither the solution counts nor the decomposition depends on a
+character, so each is computed once per (m, d) and kept in a bounded cache
 (``_solution_counts``, ``_young_decomposition``) that every dimension
-report of that (m, d) reads; ``qchar`` reads the counts as a stream
-instead (``_solution_stream``) and keeps none.  The public names check
-(m, d) on every call and hand out a fresh dict, never the cached one.
+report of that (m, d) reads; ``qchar`` reads the walk as a stream instead
+and keeps none.  The public names check (m, d) on every call and hand out
+a fresh dict, never the cached one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import itemgetter, mul
 
-from . import characters  # runs on first use: only where a class function is built
-from .partitions import (
-    Partition,
-    _check_int,
-    _check_ints,
-    _check_m_d,
-    _cycle_types,
-    _orbit_types,
-    _walked_partitions,
-)
-from .tableaux import _b, _hooks, _kostka_column
+# these run on first use: characters only where a class function is built,
+# tableaux only where hooks or Kostka numbers are read
+from . import characters, tableaux
+from .partitions import Partition, _check_int, _check_ints, _check_m_d, _cycle_types, _orbit_types
 
 CoinSystem = tuple[int, ...]
 
@@ -92,39 +88,51 @@ def denumerant_class_function(m: int, d: int) -> ClassFunction:
 @lru_cache(maxsize=128)  # every m <= 8, d <= 12 fits, in any order
 def _solution_counts(m: int, d: int) -> tuple[int, ...]:
     """The values of :func:`denumerant_class_function` for checked ints m
-    and d, in the order of ``_cycle_types(m)``: :func:`_solution_stream`
-    over the cached walk."""
-    classes, changes = _walked_partitions(m)
-    return tuple(_solution_stream(m, d, zip(changes, classes)))
+    and d, in the order of ``_cycle_types(m)``."""
+    return tuple(map(itemgetter(2), _solution_walk(m, d)))
 
 
-def _solution_stream(m: int, d: int, walk: Iterable[tuple[int, Partition]]) -> Iterator[int]:
-    """The value on lam for each ``(changed, lam)`` of ``walk``, a walk of
-    the partitions of m as ``_partition_walk`` gives it: the values of
+def _solution_walk(m: int, d: int) -> Iterator[tuple[Partition, int, int]]:
+    """``(P, k, count)`` for each cycle type P + 1^k of S_m, P its parts
+    above 1, in the order of ``_cycle_types(m)``: the values of
     :func:`_solution_counts`, each as it is reached, so a caller that stops
     early pays only for what it read.
 
-    Every cycle type is P + 1^k, with P its parts above 1.  The k coins of
-    value 1 pay an amount i in C(i + k - 1, k - 1) ways, so the value is
-    sum over j of A_P[j] * C(d - j + k - 1, k - 1), where A_P[j] counts the
-    ways P pays j: one coin DP per distinct P, and for each cycle type one
-    dot product with the reversed counts of 1^k (for k = 0, the indicator
-    of d).  Cycle types sharing a prefix of P share its coin DP, kept on a
-    stack along the walk.
+    The k coins of value 1 pay an amount i in C(i + k - 1, k - 1) ways, so
+    the count is the sum over j of A_P[j] * C(d - j + k - 1, k - 1), where
+    A_P[j] counts the ways P pays j.  The walk is a depth-first search over
+    P alone: P + (c) + ..., for each c >= 2 from the largest down, comes
+    before P + 1^k in reverse-lex order, so P yields after its subtree, by
+    one dot product of A_P with the reversed counts of 1^k.  A child
+    P + (c) with k >= 2 left gets its own coin pass, A_P + (c); one with
+    k = 0 or 1 left has no child, and its count is read off A_P: the sum of
+    A_P[d - tc] over t >= 0, or of the prefix sums of A_P at those places.
     """
     ones = [[0] * d + [1]]  # ones[k]: the counts for 1^k, reversed
     for _ in range(m):
         ones.append(list(accumulate(reversed(ones[-1])))[::-1])
-    stack = [[1] + [0] * d]  # stack[i]: the counts for the first i parts above 1
-    for changed, lam in walk:
-        del stack[changed + 1:]
-        for a in lam[len(stack) - 1:]:
-            if a == 1:
+    stack = []
+    # the frame entered next: P, A_P, k, and the largest part P can add
+    p, counts, k, top = (), [1] + [0] * d, m, m
+    while True:
+        # P + (k) and P + (k - 1, 1) come first, and have no children
+        if top >= k >= 2:
+            yield p + (k,), 0, sum(counts[d::-k])
+        if top >= k - 1 >= 2:
+            yield p + (k - 1,), 1, sum(list(accumulate(counts))[d::1 - k])
+        stack.append((p, counts, k, iter(range(min(top, k - 2), 1, -1))))
+        while stack:
+            p, counts, k, children = stack[-1]
+            c = next(children, 0)
+            if c:
+                counts = counts.copy()
+                _add_coin(counts, c)
+                p, k, top = p + (c,), k - c, c
                 break
-            counts = stack[-1].copy()
-            _add_coin(counts, a)
-            stack.append(counts)
-        yield sum(map(mul, stack[-1], ones[len(lam) - len(stack) + 1]))
+            stack.pop()
+            yield p, k, sum(map(mul, counts, ones[k]))
+        else:
+            return
 
 
 def denumerant_decomposition(m: int, d: int) -> dict[Partition, int]:
@@ -140,7 +148,7 @@ def _young_decomposition(m: int, d: int) -> dict[Partition, int]:
     ints m and d, shared by every caller: it is read, never handed out."""
     out = dict.fromkeys(_cycle_types(m), 0)
     for shape, count in _orbit_types(m, d):
-        for pi, k in _kostka_column(shape).items():
+        for pi, k in tableaux._kostka_column(shape).items():
             out[pi] += count * k
     return out
 
@@ -150,8 +158,8 @@ def _hook_multiplicity(pi: Partition, d: int) -> int:
     equation with the hook lengths of ``pi`` as coins: the coefficient of
     q^d in s_pi(1, q, q^2, ...) = q^b(pi) / prod over cells (1 - q^hook),
     so the denumerant of d - b(pi), and 0 below b(pi)."""
-    amount = d - _b(pi)
-    return denumerant(_hooks(pi), amount) if amount >= 0 else 0
+    amount = d - tableaux._b(pi)
+    return denumerant(tableaux._hooks(pi), amount) if amount >= 0 else 0
 
 
 def hook_decomposition(m: int, d: int) -> dict[Partition, int]:

@@ -111,25 +111,23 @@ def multiplicity_factorial(mu: Sequence[int]) -> int:
     return out
 
 
-def _partition_walk(n: int, max_len: int) -> Iterator[tuple[int, Partition]]:
+def _partition_walk(n: int, max_len: int) -> Iterator[Partition]:
     """The partitions of ``n`` into at most ``max_len`` parts in reverse-lex
-    order, each with the index of its first part that changed since the
-    previous one (0 for the first).  Each step pops the trailing parts,
-    lowers the last part that can still be lowered, and refills greedily."""
+    order.  Each step pops the trailing parts, lowers the last part that can
+    still be lowered, and refills greedily."""
     if n == 0:
-        yield 0, ()
+        yield ()
         return
-    parts, changed = [n], 0
+    parts = [n]
     while True:
-        yield changed, tuple(parts)
+        yield tuple(parts)
         rest = 0
         while True:
             if not parts:
                 return
             top = parts.pop()
             rest += top
-            changed = len(parts)
-            if top > 1 and (top - 1) * (max_len - changed) >= rest:
+            if top > 1 and (top - 1) * (max_len - len(parts)) >= rest:
                 break
         q, r = divmod(rest, top - 1)
         parts += [top - 1] * q
@@ -138,27 +136,17 @@ def _partition_walk(n: int, max_len: int) -> Iterator[tuple[int, Partition]]:
 
 
 @lru_cache(maxsize=None)
-def _walked_partitions(m: int) -> tuple[tuple[Partition, ...], bytearray]:
+def _walked_partitions(m: int) -> tuple[Partition, ...]:
     """The partitions of ``m`` in the order of :func:`_partition_walk`,
-    walked once per ``m``, and each one's first changed index, one byte
-    each: an index is below m, and no walk of m > 256 (p(257) > 10**14
-    partitions) could finish."""
+    walked once per ``m``."""
     if m < 0:
         raise ValueError("cannot partition a negative integer")
-    changes = bytearray()
-
-    def parts() -> Iterator[Partition]:
-        # straight into the tuple: a list beside it would double the peak
-        for changed, p in _partition_walk(m, m):
-            changes.append(changed)
-            yield p
-
-    return tuple(parts()), changes
+    return tuple(_partition_walk(m, m))
 
 
 def _cycle_types(m: int) -> tuple[Partition, ...]:
     """The partitions of ``m``, enumerated once per ``m``."""
-    return _walked_partitions(m)[0]
+    return _walked_partitions(m)
 
 
 def enumerate_partitions(m: int, max_length: int | None = None) -> list[Partition]:
@@ -168,7 +156,7 @@ def enumerate_partitions(m: int, max_length: int | None = None) -> list[Partitio
         raise ValueError("cannot partition a negative integer")
     if max_length is not None and _check_int(max_length, "max_length") < 1:
         raise ValueError("max_length must be positive")
-    return [p for _, p in _partition_walk(m, m if max_length is None else max_length)]
+    return list(_partition_walk(m, m if max_length is None else max_length))
 
 
 def gamma_size(m: int, d: int) -> int:
@@ -228,7 +216,7 @@ def orbit_representatives(m: int, d: int) -> list[ExponentVector]:
 def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
     """The representatives of :func:`orbit_representatives`, one at a time."""
     m, d = _check_m_d(m, d)
-    for _, p in _partition_walk(d, m):
+    for p in _partition_walk(d, m):
         yield p + (0,) * (m - len(p))
 
 

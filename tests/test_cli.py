@@ -117,15 +117,15 @@ def test_a_reader_closing_the_pipe_is_not_an_error(argv, size):
     assert (code, err) == (0, b"")
 
 
-def test_qchar_stops_when_its_reader_goes():
-    # p(64) = 1,741,630 rows, streamed: the reader leaves after 100 bytes,
-    # and qchar stops at its next full pipe instead of counting every row
+def _qchar_until_its_reader_goes(*flags):
+    """Seconds that ``qchar --m 64 --d 5`` runs when its reader leaves after
+    100 bytes; it must exit 0 with nothing on stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("PYTHONUNBUFFERED", None)
     start = time.perf_counter()
     with subprocess.Popen(
-        [sys.executable, "-m", "relsym.cli", "qchar", "--m", "64", "--d", "5", "--json"],
+        [sys.executable, "-m", "relsym.cli", "qchar", "--m", "64", "--d", "5", *flags],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert len(proc.stdout.read(100)) == 100
@@ -133,7 +133,18 @@ def test_qchar_stops_when_its_reader_goes():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (0, b"")
-    assert time.perf_counter() - start < 2
+    return time.perf_counter() - start
+
+
+def test_qchar_stops_when_its_reader_goes():
+    # p(64) = 1,741,630 rows, streamed: the reader leaves after 100 bytes,
+    # and qchar stops at its next full pipe instead of counting every row
+    assert _qchar_until_its_reader_goes("--json") < 2
+
+
+def test_qchar_text_stops_when_its_reader_goes():
+    # the text line is streamed in batches of rows too, not joined first
+    assert _qchar_until_its_reader_goes() < 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
@@ -567,6 +578,24 @@ def test_qchar_text_rows_are_the_class_function(capsys):
             values = denumerant_class_function(m, d).values
             text = ", ".join(f"({','.join(map(str, p))}): {v}" for p, v in values.items())
             assert run(capsys, "qchar", "--m", str(m), "--d", str(d)) == (0, text + "\n", "")
+
+
+def test_qchar_text_goes_out_in_batches(monkeypatch):
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recording()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["qchar", "--m", "24", "--d", "24"]) == 0
+    values = denumerant_class_function(24, 24).values
+    assert len(values) > cli._ROW_BATCH
+    text = ", ".join(f"({','.join(map(str, p))}): {v}" for p, v in values.items())
+    assert out.getvalue() == text + "\n"
+    assert len(writes) > 2  # more than one write of rows, then the newline
 
 
 def test_qchar_builds_no_class_function(capsys, monkeypatch):

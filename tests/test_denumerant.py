@@ -30,7 +30,6 @@ from relsym.denumerant import (
 )
 from relsym.partitions import (
     _orbit_types,
-    _partition_walk,
     _walked_partitions,
     enumerate_partitions,
     gamma_size,
@@ -143,34 +142,50 @@ def test_trailing_ones_match_the_prefix_walk_sweep(m, d):
     assert denumerant_class_function(m, d).values == prefix_walk_class_function(m, d)
 
 
-def _stream(m, d):
-    classes = [lam for _, lam in _partition_walk(m, m)]
-    counts = list(denumerant_module._solution_stream(m, d, _partition_walk(m, m)))
-    return list(zip(classes, counts, strict=True))
+def _walk(m, d):
+    return [(p + (1,) * k, count) for p, k, count in denumerant_module._solution_walk(m, d)]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_the_solution_walk_runs_through_the_cycle_types_in_order(m):
+    triples = list(denumerant_module._solution_walk(m, 3))
+    assert [p + (1,) * k for p, k, _ in triples] == list(_cycle_types(m))
+    assert all(part > 1 for p, _, _ in triples for part in p)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
-def test_the_solution_stream_counts_each_type_exactly(m):
+def test_the_solution_walk_counts_each_type_exactly(m):
     for d in range(31):
-        for lam, count in _stream(m, d):
+        for lam, count in _walk(m, d):
             assert count == denumerant(lam, d), (lam, d)
 
 
-def test_the_solution_stream_counts_every_type_of_36_exactly():
-    pairs = _stream(36, 40)
+def test_the_solution_walk_counts_every_type_of_36_exactly():
+    pairs = _walk(36, 40)
     assert len(pairs) == 17977
     assert all(count == denumerant(lam, 40) for lam, count in pairs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=60))
+@example(1, 0)
+@example(2, 60)
+@example(16, 0)
+@example(16, 60)
+def test_the_solution_walk_matches_the_prefix_walk_sweep(m, d):
+    pairs = _walk(m, d)
+    assert pairs == list(prefix_walk_class_function(m, d).items())
+
+
 @pytest.mark.parametrize("m,d", [(1, 0), (5, 3), (9, 12), (12, 28)])
-def test_the_solution_stream_is_the_cached_counts_in_class_order(m, d):
-    pairs = _stream(m, d)
+def test_the_solution_walk_is_the_cached_counts_in_class_order(m, d):
+    pairs = _walk(m, d)
     assert [lam for lam, _ in pairs] == list(_cycle_types(m))
     assert tuple(count for _, count in pairs) == denumerant_module._solution_counts(m, d)
 
 
-@pytest.mark.parametrize("m,d", [(12, 28), (36, 40)])
-def test_one_coin_pass_per_cycle_type_at_most(monkeypatch, m, d):
+@pytest.mark.parametrize("m,d", [(3, 5), (4, 0), (12, 28), (36, 40)])
+def test_one_coin_pass_per_cycle_type_with_room_for_a_part_above_1(monkeypatch, m, d):
     calls = 0
     add_coin = denumerant_module._add_coin
 
@@ -182,9 +197,10 @@ def test_one_coin_pass_per_cycle_type_at_most(monkeypatch, m, d):
     monkeypatch.setattr(denumerant_module, "_add_coin", counting)
     denumerant_module._solution_counts.cache_clear()
     denumerant_class_function(m, d)
-    # one pass per distinct nonempty P of parts above 1, and each P + 1^(m - |P|)
-    # is a cycle type: p(m) - 1 passes
-    assert 0 < calls <= len(_cycle_types(m))
+    # one pass per nonempty P of parts above 1 with |P| <= m - 2, and
+    # P + 1^(m - 2 - |P|) runs once through the partitions of m - 2:
+    # p(m - 2) - 1 passes
+    assert calls == len(_cycle_types(m - 2)) - 1
     # the counts of (m, d) are kept: a second call runs none
     calls = 0
     denumerant_class_function(m, d)

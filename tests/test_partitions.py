@@ -213,11 +213,7 @@ def test_class_size_matches_direct_count():
 def test_partition_walk_matches_the_oracle(m):
     every = _partitions_desc(m)
     for max_len in range(1, m + 2):
-        walk = list(_partition_walk(m, max_len))
-        assert [p for _, p in walk] == [p for p in every if len(p) <= max_len]
-        assert walk[0][0] == 0
-        for (_, before), (changed, p) in zip(walk, walk[1:]):
-            assert p[:changed] == before[:changed] and p[changed] != before[changed]
+        assert list(_partition_walk(m, max_len)) == [p for p in every if len(p) <= max_len]
 
 
 @pytest.mark.parametrize(
@@ -274,9 +270,8 @@ def test_enumerate_gamma_is_the_filtered_product(m, d):
 
 @pytest.mark.parametrize("m", range(0, 16))
 def test_walked_partitions_are_the_walk_in_one_pass(m):
-    parts, changes = _walked_partitions(m)
-    assert list(zip(changes, parts)) == list(_partition_walk(m, m))
-    assert isinstance(changes, bytearray)
+    parts = _walked_partitions(m)
+    assert parts == tuple(_partition_walk(m, m))
     assert _cycle_types(m) is parts
     assert list(parts) == enumerate_partitions(m)
 

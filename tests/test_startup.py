@@ -145,8 +145,10 @@ def test_threads_that_first_touch_layers_at_once_all_succeed():
         (["kostka", "--shape", "3,2", "--content", "2,2,1"], _CORE, set(), True),
         (["vanish", "--m", "5", "--d", "4", "--partition", "3,1,1"],
          sorted(_CORE + ["dimensions"]), set(), True),
-        (["denumerant", "--coins", "1,2,5", "--amount", "12"], None, {"characters"}, False),
-        (["qchar", "--m", "6", "--d", "5"], sorted(_CORE + ["denumerant"]), set(), True),
+        (["denumerant", "--coins", "1,2,5", "--amount", "12"], None,
+         {"characters", "tableaux"}, False),
+        (["qchar", "--m", "6", "--d", "5"],
+         ["cli", "config", "denumerant", "errors", "partitions"], set(), True),
         (["dim", "--m", "5", "--d", "4", "--partition", "3,1,1"], None, _RANK_STACK, False),
         (["dim", "--m", "4", "--d", "3", "--partition", "2,2", "--verify"],
          [m for m in _LIBRARY if m != "irreducibles"], set(), False),
