@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
+from functools import cache
 from itertools import islice
 
 # layers run on first use (see the package docstring): main reads these two
@@ -47,8 +48,12 @@ def _env_int(name: str) -> int | None:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
+# the text of a partition: its parts joined by _PART_SEP, filled into _PARTITION
+_PARTITION, _PART_SEP = "(%s)", ","
+
+
 def _format_partition(p: Sequence[int]) -> str:
-    return "(" + ",".join(str(x) for x in p) + ")"
+    return _PARTITION % _PART_SEP.join(map(str, p))
 
 
 def _fraction(v) -> int | str:
@@ -57,9 +62,10 @@ def _fraction(v) -> int | str:
 
 
 _JSON_BATCH = 4096  # encoder chunks joined per write
-# per-partition rows joined per write: ~55 KB, about one batch of chunks;
-# 4096 rows (~900 KB) would raise qchar --m 36 --d 40's peak RSS by 5 MB
-_ROW_BATCH = 256
+# per-partition rows joined per write: ~14 KB at qchar --m 36 --d 40 --json.
+# Its walk holds a table of ~0.5 MB while it writes, and 256 rows a write
+# raised its peak RSS by a further ~0.3 MB (4096 rows by 5 MB)
+_ROW_BATCH = 64
 
 
 def _emit(
@@ -83,40 +89,47 @@ def _emit(
     sys.stdout.write("\n")
 
 
-def _emit_per_partition(args, pairs, key: str, names: tuple[str, str]) -> None:
-    """One row per pair ``(p, v)`` of ``pairs``, in its order: the partition
-    ``p`` of ``args.m`` and its integer ``v``, keyed by ``names``, written in
-    batches of rows as they come.  The text is the rows joined by ", " on
-    one line.  Under ``--json`` the envelope is written as the indenting
-    encoder would print it, without it: a fixed head and tail, and each row
-    filled into one positional text template whose slots follow the sorted
-    keys.  The head goes out with the first batch of rows, so an error in
-    that batch comes before any output.  It has a row per partition of
-    m >= 1, so neither it nor any row's list is empty."""
+def _emit_per_partition(args, rows, key: str, names: tuple[str, str]) -> None:
+    """One row per triple ``(p, (b, c), v)`` of ``rows``, in its order: the
+    partition ``p + 2^b 1^c`` of ``args.m`` and its integer ``v``, keyed by
+    ``names``, written in batches of rows as they come.  The text is the
+    rows joined by ", " on one line, each partition as
+    :func:`_format_partition` writes it.  Under ``--json`` the envelope is
+    written as the indenting encoder would print it, without it: a fixed
+    head and end, and each row filled into one positional text template
+    whose slots follow the sorted keys.  The head goes out with the first
+    batch of rows, so an error in that batch comes before any output.  It
+    has a row per partition of m >= 1, so neither it nor any row's list is
+    empty.  The text of each distinct tail 2^b 1^c is rendered once per
+    call and appended to the text of ``p``."""
     if not args.json:
-        head, sep, tail = "", ", ", "\n"
-        rows = (f"{_format_partition(p)}: {v}" for p, v in pairs)
+        head, sep, end = "", ", ", "\n"
+        row, between, value_first = _PARTITION + ": %d", _PART_SEP, False
     else:
         head = (
             f'{{\n  "command": "{args.command}",\n  "cross_checks": [],\n'
             f'  "inputs": {{\n    "d": {args.d},\n    "m": {args.m}\n  }},\n'
             f'  "result": {{\n    "{key}": [\n'
         )
-        sep, tail = ",\n", "\n    ]\n  }\n}\n"
+        sep, end = ",\n", "\n    ]\n  }\n}\n"
         slots = {names[0]: "[\n          %s\n        ]", names[1]: "%d"}
         row = "      {\n" + ",\n".join(f'        "{k}": {slots[k]}' for k in sorted(slots))
         row += "\n      }"
         between = ",\n          "  # the parts of one partition
-        part = [str(i) for i in range(args.m + 1)].__getitem__  # each part is at most m
-        if names[0] < names[1]:
-            rows = (row % (between.join(map(part, p)), v) for p, v in pairs)
-        else:
-            rows = (row % (v, between.join(map(part, p))) for p, v in pairs)
+        value_first = names[1] < names[0]
+    part = [str(i) for i in range(args.m + 1)].__getitem__  # each part is at most m
+    join = between.join
+    after = cache(lambda tail: (between + "2") * tail[0] + (between + "1") * tail[1])
+    cut = len(between)  # only the walk's root has an empty p: its tail stands alone
+    texts = (
+        (join(map(part, p)) + after(tail) if p else after(tail)[cut:], v) for p, tail, v in rows
+    )
+    lines = (row % (v, text) for text, v in texts) if value_first else map(row.__mod__, texts)
     write = sys.stdout.write
-    write(head + sep.join(islice(rows, _ROW_BATCH)))
-    while batch := list(islice(rows, _ROW_BATCH)):
+    write(head + sep.join(islice(lines, _ROW_BATCH)))
+    while batch := list(islice(lines, _ROW_BATCH)):
         write(sep + sep.join(batch))
-    write(tail)
+    write(end)
 
 
 def _cmd_denumerant(args) -> None:
@@ -138,17 +151,13 @@ def _cmd_qchar(args) -> None:
     from .denumerant import _solution_walk
     from .partitions import _check_m_d
     m, d = _check_m_d(args.m, args.d)
-    ones = [(1,) * k for k in range(m + 1)]
-    pairs = ((p + ones[k], count) for p, k, count in _solution_walk(m, d))
-    _emit_per_partition(args, pairs, "classes", ("cycle_type", "value"))
+    _emit_per_partition(args, _solution_walk(m, d), "classes", ("cycle_type", "value"))
 
 
 def _cmd_decompose(args) -> None:
-    from .denumerant import hook_decomposition
-    decomposition = hook_decomposition(args.m, args.d)
-    _emit_per_partition(
-        args, decomposition.items(), "multiplicities", ("partition", "multiplicity")
-    )
+    from .denumerant import _hook_rows
+    rows = ((pi, (0, 0), v) for pi, v in _hook_rows(args.m, args.d))
+    _emit_per_partition(args, rows, "multiplicities", ("partition", "multiplicity"))
 
 
 def _cmd_kostka(args) -> None:

@@ -117,15 +117,15 @@ def test_a_reader_closing_the_pipe_is_not_an_error(argv, size):
     assert (code, err) == (0, b"")
 
 
-def _qchar_until_its_reader_goes(*flags):
-    """Seconds that ``qchar --m 64 --d 5`` runs when its reader leaves after
-    100 bytes; it must exit 0 with nothing on stderr."""
+def _until_its_reader_goes(command, *flags, m=64, d=5):
+    """Seconds that ``command --m m --d d`` runs when its reader leaves
+    after 100 bytes; it must exit 0 with nothing on stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("PYTHONUNBUFFERED", None)
     start = time.perf_counter()
     with subprocess.Popen(
-        [sys.executable, "-m", "relsym.cli", "qchar", "--m", "64", "--d", "5", *flags],
+        [sys.executable, "-m", "relsym.cli", command, "--m", str(m), "--d", str(d), *flags],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert len(proc.stdout.read(100)) == 100
@@ -139,12 +139,24 @@ def _qchar_until_its_reader_goes(*flags):
 def test_qchar_stops_when_its_reader_goes():
     # p(64) = 1,741,630 rows, streamed: the reader leaves after 100 bytes,
     # and qchar stops at its next full pipe instead of counting every row
-    assert _qchar_until_its_reader_goes("--json") < 2
+    assert _until_its_reader_goes("qchar", "--json") < 2
 
 
 def test_qchar_text_stops_when_its_reader_goes():
     # the text line is streamed in batches of rows too, not joined first
-    assert _qchar_until_its_reader_goes() < 2
+    assert _until_its_reader_goes("qchar") < 2
+
+
+def test_qchar_at_a_large_m_stops_when_its_reader_goes():
+    # no table sized by the p(1000) rows that are never read is built before
+    # the first: the walk's tails stay 1^c here (see _tail_limit)
+    assert _until_its_reader_goes("qchar", "--json", m=1000, d=0) < 2
+
+
+def test_decompose_stops_when_its_reader_goes():
+    # one hook coin DP per partition as the walk reaches it: no dict of all
+    # p(64) multiplicities is built before the first row goes out
+    assert _until_its_reader_goes("decompose", "--json") < 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
@@ -385,7 +397,7 @@ def test_consistency_exit_code(capsys, monkeypatch):
 
     # the handler imports it from its layer when it runs; ``relsym.denumerant``
     # is the function, so the layer is taken from the import system
-    monkeypatch.setattr(importlib.import_module("relsym.denumerant"), "hook_decomposition", boom)
+    monkeypatch.setattr(importlib.import_module("relsym.denumerant"), "_hook_multiplicity", boom)
     code, _, err = run(capsys, "decompose", "--m", "3", "--d", "2")
     assert code == 3
     assert "internal consistency" in err
@@ -520,23 +532,29 @@ def test_streamed_envelope_is_the_one_shot_dump(capsys):
 
 
 def test_json_mode_builds_no_text(capsys, monkeypatch):
-    def no_text(p):
-        raise RuntimeError("text rendered")
+    class NoText(str):
+        # the partition template, which fails as soon as text is made from it
+        def __mod__(self, values):
+            raise RuntimeError("text rendered")
 
-    monkeypatch.setattr(cli, "_format_partition", no_text)
-    for argv in [
+        __add__ = __mod__
+
+    monkeypatch.setattr(cli, "_PARTITION", NoText(cli._PARTITION))
+    argvs = [
         ("qchar", "--m", "3", "--d", "2"),
         ("decompose", "--m", "3", "--d", "2"),
         ("character", "--table", "5"),
         ("dim", "--m", "3", "--d", "2", "--partition", "2,1"),
-    ]:
+    ]
+    for argv in argvs:
         code, out, err = run(capsys, *argv, "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["command"] == argv[0]
-    # text mode does render through the patched formatter, and with it back
+    # text mode does render through the patched template, and with it back
     # it prints as before
-    with pytest.raises(RuntimeError, match="text rendered"):
-        main(["qchar", "--m", "3", "--d", "2"])
+    for argv in argvs:
+        with pytest.raises(RuntimeError, match="text rendered"):
+            main(list(argv))
     monkeypatch.undo()
     assert run(capsys, "qchar", "--m", "3", "--d", "2") == (
         0, "(3): 0, (2,1): 2, (1,1,1): 6\n", ""
@@ -578,6 +596,17 @@ def test_qchar_text_rows_are_the_class_function(capsys):
             values = denumerant_class_function(m, d).values
             text = ", ".join(f"({','.join(map(str, p))}): {v}" for p, v in values.items())
             assert run(capsys, "qchar", "--m", str(m), "--d", str(d)) == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("m,d", [(9, 0), (14, 1), (20, 4)])
+def test_qchar_rows_with_tails_of_twos_are_the_class_function(capsys, m, d):
+    # sizes where the walk takes tails 2^b 1^c, the root's tails among them
+    assert importlib.import_module("relsym.denumerant")._tail_limit(m, d) == 2
+    values = denumerant_class_function(m, d).values
+    text = ", ".join(f"({','.join(map(str, p))}): {v}" for p, v in values.items())
+    assert run(capsys, "qchar", "--m", str(m), "--d", str(d)) == (0, text + "\n", "")
+    reference = _reference_per_partition("qchar", m, d)
+    assert run(capsys, "qchar", "--m", str(m), "--d", str(d), "--json") == (0, reference, "")
 
 
 def test_qchar_text_goes_out_in_batches(monkeypatch):
@@ -623,6 +652,15 @@ def test_qchar_leaves_no_cache_entry(capsys):
     code, out, err = run(capsys, "qchar", "--m", "36", "--d", "40", "--json")
     assert (code, err) == (0, "") and len(json.loads(out)["result"]["classes"]) == 17977
     assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+
+
+def test_decompose_leaves_no_cache_entry(capsys):
+    from relsym.partitions import _walked_partitions
+
+    _walked_partitions.cache_clear()
+    code, out, err = run(capsys, "decompose", "--m", "20", "--d", "10", "--json")
+    assert (code, err) == (0, "") and len(json.loads(out)["result"]["multiplicities"]) == 627
+    assert _walked_partitions.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("command", ["qchar", "decompose"])

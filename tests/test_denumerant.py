@@ -1,5 +1,7 @@
 import importlib
 import math
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -142,26 +144,37 @@ def test_trailing_ones_match_the_prefix_walk_sweep(m, d):
     assert denumerant_class_function(m, d).values == prefix_walk_class_function(m, d)
 
 
-def _walk(m, d):
-    return [(p + (1,) * k, count) for p, k, count in denumerant_module._solution_walk(m, d)]
+def _parts(tail):
+    """The parts of the tail 2^b 1^c that the walk gives as (b, c)."""
+    b, c = tail
+    return (2,) * b + (1,) * c
 
 
+def _walk(m, d, t=None):
+    walk = denumerant_module._solution_walk(m, d, t)
+    return [(p + _parts(tail), count) for p, tail, count in walk]
+
+
+@pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize("m", range(1, 17))
-def test_the_solution_walk_runs_through_the_cycle_types_in_order(m):
-    triples = list(denumerant_module._solution_walk(m, 3))
-    assert [p + (1,) * k for p, k, _ in triples] == list(_cycle_types(m))
-    assert all(part > 1 for p, _, _ in triples for part in p)
+def test_the_solution_walk_runs_through_the_cycle_types_in_order(m, t):
+    triples = list(denumerant_module._solution_walk(m, 3, t))
+    assert [p + _parts(tail) for p, tail, _ in triples] == list(_cycle_types(m))
+    assert all(part > t for p, _, _ in triples for part in p)
+    assert all(part <= t for _, tail, _ in triples for part in _parts(tail))
 
 
+@pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize("m", range(1, 13))
-def test_the_solution_walk_counts_each_type_exactly(m):
+def test_the_solution_walk_counts_each_type_exactly(m, t):
     for d in range(31):
-        for lam, count in _walk(m, d):
+        for lam, count in _walk(m, d, t):
             assert count == denumerant(lam, d), (lam, d)
 
 
-def test_the_solution_walk_counts_every_type_of_36_exactly():
-    pairs = _walk(36, 40)
+@pytest.mark.parametrize("t", [1, 2])
+def test_the_solution_walk_counts_every_type_of_36_exactly(t):
+    pairs = _walk(36, 40, t)
     assert len(pairs) == 17977
     assert all(count == denumerant(lam, 40) for lam, count in pairs)
 
@@ -173,8 +186,10 @@ def test_the_solution_walk_counts_every_type_of_36_exactly():
 @example(16, 0)
 @example(16, 60)
 def test_the_solution_walk_matches_the_prefix_walk_sweep(m, d):
-    pairs = _walk(m, d)
-    assert pairs == list(prefix_walk_class_function(m, d).items())
+    # both tail sets on the same inputs: each is the oracle, so each other
+    by_ones, by_twos = _walk(m, d, 1), _walk(m, d, 2)
+    assert by_ones == list(prefix_walk_class_function(m, d).items())
+    assert by_twos == by_ones
 
 
 @pytest.mark.parametrize("m,d", [(1, 0), (5, 3), (9, 12), (12, 28)])
@@ -184,27 +199,165 @@ def test_the_solution_walk_is_the_cached_counts_in_class_order(m, d):
     assert tuple(count for _, count in pairs) == denumerant_module._solution_counts(m, d)
 
 
-@pytest.mark.parametrize("m,d", [(3, 5), (4, 0), (12, 28), (36, 40)])
-def test_one_coin_pass_per_cycle_type_with_room_for_a_part_above_1(monkeypatch, m, d):
-    calls = 0
+def _count_coin_passes(monkeypatch):
+    """Patch ``_add_coin`` to count its calls, kept in the returned list."""
+    calls = [0]
     add_coin = denumerant_module._add_coin
 
     def counting(counts, a):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         add_coin(counts, a)
 
     monkeypatch.setattr(denumerant_module, "_add_coin", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m,d", [(3, 5), (4, 0), (12, 28), (36, 40)])
+def test_coin_passes_with_tails_of_ones(monkeypatch, m, d):
+    calls = _count_coin_passes(monkeypatch)
+    deque(denumerant_module._solution_walk(m, d, 1), 0)
+    # one pass per nonempty P of parts above 1 with |P| <= m - 2, the P with
+    # a child; P + 1^(m - 2 - |P|) runs once through the partitions of m - 2,
+    # and the table of 1^c is prefix sums alone: p(m - 2) - 1 passes
+    assert calls[0] == len(_cycle_types(m - 2)) - 1
+
+
+@pytest.mark.parametrize("m,d", [(3, 5), (4, 0), (12, 28), (36, 40)])
+def test_coin_passes_with_tails_of_twos_and_ones(monkeypatch, m, d):
+    calls = _count_coin_passes(monkeypatch)
+    deque(denumerant_module._solution_walk(m, d, 2), 0)
+    # one pass per nonempty P of parts above 2 with |P| <= m - 2, and
+    # P + 1^(m - 2 - |P|) runs once through the partitions of m - 2 with no
+    # part 2; the table adds m // 2 passes of the coin 2, for 2^1..2^(m // 2)
+    no_twos = sum(1 for lam in _cycle_types(m - 2) if 2 not in lam)
+    assert calls[0] == no_twos - 1 + m // 2
+    if (m, d) == (36, 40):
+        # 3,960 + 18, against p(34) - 1 = 12,309 with tails of ones
+        assert calls[0] == 3978
+
+
+@pytest.mark.parametrize("m,d,passes", [(12, 28, 41 + 12), (36, 40, 3978 + 36)])
+def test_the_class_function_walks_once_per_m_and_d(monkeypatch, m, d, passes):
+    # the rule takes tails of ones at (12, 28), p(10) - 1 = 41 passes, and
+    # of twos and ones at (36, 40), as derived above; to pick them it counts
+    # p(m) by one pass per part 1..m, as both tables are under the cap
+    calls = _count_coin_passes(monkeypatch)
     denumerant_module._solution_counts.cache_clear()
     denumerant_class_function(m, d)
-    # one pass per nonempty P of parts above 1 with |P| <= m - 2, and
-    # P + 1^(m - 2 - |P|) runs once through the partitions of m - 2:
-    # p(m - 2) - 1 passes
-    assert calls == len(_cycle_types(m - 2)) - 1
+    assert calls[0] == passes
     # the counts of (m, d) are kept: a second call runs none
-    calls = 0
+    calls[0] = 0
     denumerant_class_function(m, d)
-    assert calls == 0
+    assert calls[0] == 0
+
+
+# the sizes the tail rule was set by, with the largest tail part it picks
+_TAIL_LIMITS = {
+    (36, 40): 2, (36, 38): 2, (50, 5): 2, (64, 5): 2,
+    (24, 24): 1, (36, 400): 1, (12, 10**5): 1, (20, 2 * 10**4): 1,
+}
+
+
+def test_the_tail_rule_at_each_size(monkeypatch):
+    # the rule alone: no table is built and no size is walked
+    monkeypatch.setattr(denumerant_module, "_tail_series", None)
+    monkeypatch.setattr(denumerant_module, "_solution_walk", None)
+    limits = {size: denumerant_module._tail_limit(*size) for size in _TAIL_LIMITS}
+    assert limits == _TAIL_LIMITS
+
+
+def test_the_tail_rule_is_its_table_size_against_p_of_m_and_the_cap():
+    cap = denumerant_module._TAIL_TABLE_CAP
+    for m in range(1, 41):
+        h = m // 2
+        for d in range(0, 100, 3):
+            size = (h + 1) * (m + 1 - h) * (d + 1)
+            ones = size > len(_walked_partitions(m)) or size > cap
+            assert denumerant_module._tail_limit(m, d) == (1 if ones else 2), (m, d)
+
+
+@pytest.mark.parametrize("m,d", [(40, 80), (70, 1000), (361, 0)])
+def test_the_cap_keeps_tails_of_ones_where_the_rows_would_allow_twos(monkeypatch, m, d):
+    # each answer has more rows than the table of 2^b 1^c would have
+    # numbers, but that table is over the cap, so the rule takes 1^c
+    h = m // 2
+    size = (h + 1) * (m + 1 - h) * (d + 1)
+    assert denumerant_module._TAIL_TABLE_CAP < size <= denumerant_module._partition_count(m)
+    # past the cap p(m) is not counted
+    monkeypatch.setattr(denumerant_module, "_partition_count", None)
+    assert denumerant_module._tail_limit(m, d) == 1
+
+
+def test_the_largest_table_the_cap_lets_through_stays_under_8_mb():
+    # at d = 0 each series is one number, so the most series: (181)^2 at
+    # m = 360, where p(m) is far above the cap
+    assert denumerant_module._tail_limit(360, 0) == 2
+    assert denumerant_module._tail_limit(362, 0) == 1
+    tracemalloc.start()
+    try:
+        denumerant_module._tail_series(360, 0, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_the_table_at_1000_0_stays_under_1_mb():
+    # the tails of ones, one one-number series per row, at the rule's t
+    tracemalloc.start()
+    try:
+        rows = denumerant_module._tail_series(1000, 0, denumerant_module._tail_limit(1000, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, rows)) == 1000 - 3 + 1  # rows 2..m - 2 and m
+    assert peak < 1_000_000
+
+
+def test_every_small_m_keeps_tails_of_ones():
+    # (h + 1)(m + 1 - h) series already outnumber the p(m) rows at m <= 8,
+    # so no d picks the tails of twos there: cli-small and lib-sweep sizes
+    for m in range(1, 9):
+        h = m // 2
+        assert (h + 1) * (m + 1 - h) > len(_walked_partitions(m))
+        assert denumerant_module._tail_limit(m, 0) == 1
+
+
+def test_the_partition_count_is_the_number_of_partitions():
+    for m in range(1, 31):
+        assert denumerant_module._partition_count(m) == len(_walked_partitions(m))
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("m,d", [(1, 4), (2, 3), (3, 0), (5, 6), (9, 7), (16, 12)])
+def test_the_tail_table_holds_only_the_rows_the_walk_reads(m, d, t):
+    rows = denumerant_module._tail_series(m, d, t)
+    assert len(rows) == m + 1
+    for r, row in enumerate(rows):
+        tails = [_parts(tail) for tail, _ in row]
+        if r == m:
+            # the root's A is 1, 0, 0, ...: each series keeps its entry d
+            assert tails == [lam for lam in _cycle_types(m) if lam[0] <= t]
+            assert [series for _, series in row] == [[denumerant(lam, d)] for lam in tails]
+        elif 2 <= r < m - t:
+            # the sizes m - |P| of the P of parts above t that have a pass
+            assert tails == [lam for lam in _cycle_types(r) if lam[0] <= t]
+            for lam, (_, series) in zip(tails, row):
+                assert series == _denumerant_counts(lam, d)[::-1]
+        else:
+            # r < 2 leaves no room for a child, and no P of parts above t
+            # has size 1..t: rows m - t..m - 1 are never read
+            assert not row, r
+
+
+def test_the_walk_at_36_40_stays_under_1_mb():
+    tracemalloc.start()
+    try:
+        deque(denumerant_module._solution_walk(36, 40), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _by_assignment(m, d):
