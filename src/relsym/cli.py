@@ -101,7 +101,8 @@ def _emit_per_partition(args, rows, key: str, names: tuple[str, str]) -> None:
     batch of rows, so an error in that batch comes before any output.  It
     has a row per partition of m >= 1, so neither it nor any row's list is
     empty.  The text of each distinct tail 2^b 1^c is rendered once per
-    call and appended to the text of ``p``."""
+    call, that of ``p`` once per run of rows that share it, and the two
+    are joined per row."""
     if not args.json:
         head, sep, end = "", ", ", "\n"
         row, between, value_first = _PARTITION + ": %d", _PART_SEP, False
@@ -121,10 +122,17 @@ def _emit_per_partition(args, rows, key: str, names: tuple[str, str]) -> None:
     join = between.join
     after = cache(lambda tail: (between + "2") * tail[0] + (between + "1") * tail[1])
     cut = len(between)  # only the walk's root has an empty p: its tail stands alone
-    texts = (
-        (join(map(part, p)) + after(tail) if p else after(tail)[cut:], v) for p, tail, v in rows
-    )
-    lines = (row % (v, text) for text, v in texts) if value_first else map(row.__mod__, texts)
+
+    def texts():
+        # the walk yields the tails of one p in a run, with one tuple: p's
+        # text is joined once per run
+        p = text = None
+        for row_p, tail, v in rows:
+            if row_p is not p:
+                p, text = row_p, join(map(part, row_p))
+            yield (text + after(tail) if p else after(tail)[cut:]), v
+
+    lines = (row % (v, text) for text, v in texts()) if value_first else map(row.__mod__, texts())
     write = sys.stdout.write
     write(head + sep.join(islice(lines, _ROW_BATCH)))
     while batch := list(islice(lines, _ROW_BATCH)):

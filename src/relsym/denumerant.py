@@ -163,10 +163,13 @@ def _tail_limit(m: int, d: int) -> int:
     ``_TAIL_TABLE_CAP``, and 1 otherwise.  Tails 2^b 1^c cut the coin
     passes to a third at (36, 40), but their (m/2 + 1)^2 series of d + 1
     numbers would outgrow the walk and its output at a large d, where the
-    m series of 1^k do not."""
+    m series of 1^k do not.  p(m) is counted only when neither the cap nor
+    the bound p(m) <= 2^(m - 1) settles t, so never at m <= 4."""
     h = m // 2  # 2^b 1^c for 2b + c <= m: (h + 1)(m + 1 - h) series
     size = (h + 1) * (m + 1 - h) * (d + 1)
-    return 2 if size <= _TAIL_TABLE_CAP and size <= _partition_count(m) else 1
+    if size > _TAIL_TABLE_CAP or size > 2 ** (m - 1):
+        return 1
+    return 2 if size <= _partition_count(m) else 1
 
 
 def _tail_series(m: int, d: int, t: int) -> list[list[tuple[tuple[int, int], list[int]]]]:

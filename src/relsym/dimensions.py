@@ -3,8 +3,9 @@ character of the full symmetric group, by three routes, plus the
 non-vanishing criterion.
 
 The three routes read different things.  The orbit sum reads the orbit
-types of ``partitions._orbit_types`` and restriction multiplicities, which
-are character values averaged over Young subgroups.  The inner product reads
+types of ``partitions._orbit_types``, counted by a DP over the values with
+no orbit visited, and restriction multiplicities, which are character
+values averaged over Young subgroups.  The inner product reads
 one character row and the solution-count class function, a coin DP over
 each cycle type.  The decomposition reads the same orbit types and the
 Kostka columns K(-, type), and no character value.  ``ROUTES`` names them

@@ -220,17 +220,54 @@ def _orbit_stream(m: int, d: int) -> Iterator[ExponentVector]:
         yield p + (0,) * (m - len(p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # every m <= 8, d <= 12 fits, in any order
 def _orbit_types(m: int, d: int) -> tuple[tuple[Partition, int], ...]:
-    """The ``(type, count)`` pairs of :func:`orbit_type_counts`, streamed
-    once per (m, d) for every route that reads them."""
-    return tuple(Counter(map(_multiplicities, _orbit_stream(m, d))).items())
+    """The ``(type, count)`` pairs of :func:`orbit_type_counts` for checked
+    ints m and d, types in reverse-lex order, by one DP over the values
+    v = d, ..., 1 for every route that reads them; no orbit is visited.
+
+    A state is the entries n and the weight w given values above v, each
+    with its partial types: the sorted multiplicities of those values.
+    Value v takes k >= 1 entries or none, and a state that the values below
+    v can no longer bring to d, w + (m - n)(v - 1) < d, is dropped.  The
+    entries left at the end take the value 0."""
+    by_n: list[dict[int, dict[Partition, int]]] = [{} for _ in range(m + 1)]
+    by_n[0][0] = {(): 1}
+    grown: dict[tuple[Partition, int], Partition] = {}  # a partial type with k added
+    for v in range(d, 0, -1):
+        for n in range(m - 1, -1, -1):  # a state feeds only larger n, already passed
+            room = m - n
+            floor = d - room * (v - 1)  # the least weight values below v can fill
+            layer = by_n[n]
+            dead = []
+            for w, types in layer.items():
+                if w < floor:
+                    dead.append(w)
+                k = floor - w if floor - w > 1 else 1  # the fewest copies of v that reach d
+                weight = w + k * v
+                while k <= room and weight <= d:
+                    target = by_n[n + k].setdefault(weight, {})
+                    for shape, count in types.items():
+                        new = grown.get((shape, k))
+                        if new is None:
+                            new = grown[shape, k] = tuple(sorted(shape + (k,), reverse=True))
+                        target[new] = target.get(new, 0) + count
+                    k += 1
+                    weight += v
+            for w in dead:
+                del layer[w]
+    out: Counter = Counter()
+    for n, layer in enumerate(by_n):
+        for shape, count in layer.get(d, {}).items():
+            out[tuple(sorted(shape + (m - n,), reverse=True)) if n < m else shape] += count
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def orbit_type_counts(m: int, d: int) -> Counter:
     """How many orbits of Gamma(m, d) have each multiplicity partition (orbit
-    type), counted from the streamed representatives."""
-    return Counter(dict(_orbit_types(m, d)))
+    type), in reverse-lex order of the types, counted by a DP over the
+    values without visiting any orbit."""
+    return Counter(dict(_orbit_types(*_check_m_d(m, d))))
 
 
 @lru_cache(maxsize=512)  # the 271 classes of m <= 12, the default character cap, fit

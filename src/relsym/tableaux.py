@@ -11,7 +11,9 @@ strict by construction (Pieri's rule), one layer of shapes per value in the
 iterative ``_layer_walk`` that ``characters`` runs with signed border strips.
 A single pair, through ``kostka`` or ``count_fillings``, fills its one given
 shape; batch callers read a whole column K(-, pi) from ``_kostka_column``,
-which grows all shapes at once.
+which grows all shapes at once from unpadded shapes.  Every column reads its
+strips from one bounded memo, ``_strips``, so the columns of the orbit types
+of one (m, d) share their strips instead of walking each from scratch.
 """
 
 from __future__ import annotations
@@ -88,13 +90,24 @@ def count_fillings(mu: Sequence[int], content: Sequence[int]) -> int:
     return _layer_walk((0,) * len(mu), content, partial(_strip_additions, mu)).get(mu, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # every pi of m <= 12, the default character cap, fits
 def _kostka_column(pi: Partition) -> dict[Partition, int]:
     """The non-zero K(mu, pi) for all mu: strips of sizes pi[0], pi[1], ...
-    added to the empty shape, which has room for len(pi) rows."""
-    bound = (sum(pi),) * len(pi)
-    column = _layer_walk((0,) * len(pi), pi, partial(_strip_additions, bound))
-    return {tuple(r for r in state if r): count for state, count in column.items()}
+    added to the empty shape, each read from the :func:`_strips` memo that
+    every column shares."""
+    return _layer_walk((), pi, _strips)
+
+
+@lru_cache(maxsize=1024)  # the 333 (shape, size) of the columns of m <= 12 fit
+def _strips(shape: Partition, size: int) -> tuple[tuple[Partition, int], ...]:
+    """Every shape that a horizontal strip of ``size`` cells adds to the
+    unpadded ``shape``, each with weight 1: the strips of
+    :func:`_strip_additions` with room for one new row and a first row
+    that any strip fits, an empty new row dropped."""
+    bound = (sum(shape) + size,) + shape
+    return tuple(
+        (new if new[-1] else new[:-1], 1) for new, _ in _strip_additions(bound, shape + (0,), size)
+    )
 
 
 def hook_lengths(pi: Sequence[int]) -> tuple[int, ...]:

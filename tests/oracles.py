@@ -8,8 +8,9 @@ character tables from coset actions plus Gram-Schmidt peeling, induced
 characters from assigning cycles to blocks, ranks
 from plain rational Gaussian elimination, symmetrized-monomial ranks from
 the whole dense coefficient matrix, subgroup lists from closing
-element sets under products, and orbit types and non-vanishing witnesses
-from filtering all multisets of exponents, and classes of level-set
+element sets under products, orbit types and non-vanishing witnesses
+from filtering all multisets of exponents, orbit types also streamed from
+a walk over the weakly decreasing vectors, and classes of level-set
 partitions by moving every partition's blocks by every group element.
 """
 
@@ -198,6 +199,26 @@ def brute_force_orbit_types(m, d):
     """How many weakly decreasing vectors (one per orbit) have each
     multiplicity type."""
     return Counter(multiplicity_type(v) for v in weakly_decreasing_vectors(m, d))
+
+
+def streamed_orbit_types(m, d):
+    """The counts of :func:`brute_force_orbit_types`, each weakly decreasing
+    vector streamed once from a depth-first walk over its entries, largest
+    first, that enters no prefix the entries left cannot bring to d."""
+    counts = Counter()
+
+    def walk(prefix, remaining, largest):
+        slots = m - len(prefix)
+        if not slots:
+            counts[multiplicity_type(prefix)] += 1
+            return
+        for v in range(min(remaining, largest), -1, -1):
+            if v * slots < remaining:
+                return
+            walk(prefix + (v,), remaining - v, v)
+
+    walk((), d, d)
+    return counts
 
 
 def _majorizes(mu, pi):

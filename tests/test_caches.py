@@ -64,8 +64,6 @@ _UNBOUNDED = {
     "_ribbons_removed",
     "_restricted_trivial_cached",
     "_kostka_cached",
-    "_kostka_column",
-    "_orbit_types",
     "_walked_partitions",
 }
 
@@ -125,6 +123,9 @@ def test_the_memo_guard_sees_every_unbounded_form():
 @pytest.mark.parametrize("module, name, maxsize", [
     ("denumerant", "_solution_counts", 128),
     ("denumerant", "_young_decomposition", 128),
+    ("partitions", "_orbit_types", 128),
+    ("tableaux", "_kostka_column", 512),
+    ("tableaux", "_strips", 1024),
     ("characters", "young_subgroup_classes", 512),
     ("tableaux", "_degree", 512),
     ("dimensions", "_character_row", 512),

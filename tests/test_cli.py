@@ -284,6 +284,31 @@ def test_decompose_at_m_40_answers_in_seconds():
     assert total == math.comb(79, 39)
 
 
+@pytest.mark.parametrize("d, pi, dimension", [
+    (200, "5,4,3", 8228740698488640),
+    (120, "2,2,2,2,2,2", 35475563112),
+])
+def test_dim_at_m_12_past_d_100_answers_at_once(d, pi, dimension):
+    # Gamma(12, 200) has 7.2e9 orbits, but 72 orbit types; streaming the
+    # orbits for their types was killed at a 20 s timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["dim", "--m", "12", "--d", str(d), "--partition", pi, "--json"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "relsym.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=25,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (0, "")
+    envelope = json.loads(done.stdout)
+    assert [value for name, value in envelope["result"].items() if name.startswith("dim_")] == [
+        dimension
+    ] * len(dimensions.ROUTES)
+    assert all(passed for _, passed in envelope["cross_checks"])
+    assert dimension == dimensions.dim_via_hook_denumerant(12, d, tuple(map(int, pi.split(","))))
+    assert elapsed < 1.0
+
+
 def test_symmetrize(capsys, tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps({"()": 2, "(1 2)": 0, "(1 2 3)": -1}))

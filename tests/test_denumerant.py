@@ -276,6 +276,28 @@ def test_the_tail_rule_is_its_table_size_against_p_of_m_and_the_cap():
             assert denumerant_module._tail_limit(m, d) == (1 if ones else 2), (m, d)
 
 
+def test_the_tail_rule_counts_p_of_m_only_where_no_bound_settles_it(monkeypatch):
+    # p(m) <= 2^(m - 1): a table larger than that, or than the cap, takes
+    # tails of ones without counting p(m)
+    counted = []
+    partition_count = denumerant_module._partition_count
+
+    def counting(m):
+        counted.append(m)
+        return partition_count(m)
+
+    monkeypatch.setattr(denumerant_module, "_partition_count", counting)
+    cap = denumerant_module._TAIL_TABLE_CAP
+    for m in range(1, 41):
+        h = m // 2
+        for d in range(0, 100, 3):
+            size = (h + 1) * (m + 1 - h) * (d + 1)
+            counted.clear()
+            denumerant_module._tail_limit(m, d)
+            assert counted == ([m] if size <= min(cap, 2 ** (m - 1)) else []), (m, d)
+    assert not any(denumerant_module._tail_limit(m, d) == 2 for m in range(1, 9) for d in range(13))
+
+
 @pytest.mark.parametrize("m,d", [(40, 80), (70, 1000), (361, 0)])
 def test_the_cap_keeps_tails_of_ones_where_the_rows_would_allow_twos(monkeypatch, m, d):
     # each answer has more rows than the table of 2^b 1^c would have

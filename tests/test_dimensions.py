@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import brute_force_witness
+from oracles import brute_force_orbit_types, brute_force_witness
 import relsym.dimensions as dimensions
 import relsym.partitions as partitions
 import relsym.symmetrizer as symmetrizer
@@ -356,15 +356,17 @@ def test_hook_route_validates_like_the_others():
     assert dim_via_hook_denumerant(3, 2, (1, 1, 1)) == 0
 
 
-def test_one_report_counts_the_orbit_types_from_one_stream(monkeypatch):
-    streams = []
-    stream = partitions._orbit_stream
+def test_one_report_counts_the_orbit_types_by_one_dp(monkeypatch):
+    # both routes that read the orbit types share one DP run, and no route
+    # streams an orbit
+    def stream(m, d):
+        raise AssertionError(f"streamed the orbits of Gamma({m}, {d})")
 
-    def counting(m, d):
-        streams.append((m, d))
-        return stream(m, d)
-
-    monkeypatch.setattr(partitions, "_orbit_stream", counting)
+    monkeypatch.setattr(partitions, "_orbit_stream", stream)
     partitions._orbit_types.cache_clear()
+    dimensions._denumerant._young_decomposition.cache_clear()
     dimension_report(7, 9, (4, 2, 1))
-    assert streams == [(7, 9)]
+    info = partitions._orbit_types.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    types = sorted(brute_force_orbit_types(7, 9).items(), reverse=True)
+    assert partitions._orbit_types(7, 9) == tuple(types)

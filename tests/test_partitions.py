@@ -3,9 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import _partitions_desc, brute_force_orbit_types
+from oracles import _partitions_desc, brute_force_orbit_types, streamed_orbit_types
 from relsym.characters import character_table
 from relsym.config import use_limits
 from relsym.denumerant import denumerant
@@ -178,6 +178,26 @@ def test_orbit_sizes_partition_gamma(m, d):
 @pytest.mark.parametrize("d", range(0, 9))
 def test_orbit_type_counts_match_brute_force(m, d):
     assert orbit_type_counts(m, d) == brute_force_orbit_types(m, d)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_orbit_types_match_the_streamed_count(m):
+    for d in range(41):
+        assert dict(_orbit_types(m, d)) == streamed_orbit_types(m, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=32))
+def test_orbit_types_match_the_streamed_count_anywhere(m, d):
+    types = _orbit_types(m, d)
+    assert dict(types) == streamed_orbit_types(m, d)
+    assert [shape for shape, _ in types] == sorted(dict(types), reverse=True)
+
+
+def test_the_streamed_count_matches_brute_force():
+    for m in range(1, 7):
+        for d in range(9):
+            assert streamed_orbit_types(m, d) == brute_force_orbit_types(m, d)
 
 
 @pytest.mark.parametrize("m,d", [(12, 28), (20, 40), (24, 50)])

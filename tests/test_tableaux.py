@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relsym.tableaux
-from oracles import brute_force_kostka, brute_force_tableaux, hook_length_dimension
-from relsym.partitions import dominates, enumerate_partitions, multiplicity_factorial
+from oracles import _partitions_desc, brute_force_kostka, brute_force_tableaux, hook_length_dimension
+from relsym.partitions import _orbit_types, dominates, enumerate_partitions, multiplicity_factorial
 from relsym.characters import _mn_value
-from relsym.tableaux import _b, _kostka_column, count_fillings, hook_lengths, kostka
+from relsym.tableaux import _b, _kostka_column, _strips, count_fillings, hook_lengths, kostka
 
 
 def test_kostka_diagonal_is_one():
@@ -75,6 +75,37 @@ def test_kostka_column_is_the_nonzero_fillings(m):
     for pi in partitions:
         fillings = {mu: count_fillings(mu, pi) for mu in partitions}
         assert _kostka_column(pi) == {mu: k for mu, k in fillings.items() if k}
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_strips_are_the_horizontal_strips(n):
+    # lam / shape is a horizontal strip when lam contains shape and no two
+    # of its cells share a column: shape[i - 1] >= lam[i] >= shape[i]
+    for shape in _partitions_desc(n):
+        for size in range(1, 5):
+            expected = {
+                lam
+                for lam in _partitions_desc(n + size)
+                if len(shape) <= len(lam) <= len(shape) + 1
+                and all(
+                    (shape[i] if i < len(shape) else 0) <= part
+                    and (i == 0 or part <= shape[i - 1])
+                    for i, part in enumerate(lam)
+                )
+            }
+            strips = _strips(shape, size)
+            assert [weight for _, weight in strips] == [1] * len(strips)
+            assert len(strips) == len(expected)
+            assert {lam for lam, _ in strips} == expected
+
+
+def test_the_columns_of_one_report_share_their_strips():
+    # the 47 orbit types of Gamma(11, 26) need 170 (shape, size) strip entries
+    _kostka_column.cache_clear()
+    _strips.cache_clear()
+    for shape, _ in _orbit_types(11, 26):
+        _kostka_column(shape)
+    assert _strips.cache_info().currsize == 170
 
 
 def test_single_kostka_does_not_build_the_column():
