@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 from .config import Record, _setattr, check_cap
@@ -162,6 +161,8 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """
     if phi.m != psi.m:
         raise ValueError("cannot pair class functions of different degrees")
+    from fractions import Fraction  # here alone: a dim or character query loads no fractions
+
     total = sum(
         _class_size(lam) * phi.values[lam] * psi.values[lam] for lam in _cycle_types(phi.m)
     )

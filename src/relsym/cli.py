@@ -13,7 +13,7 @@ includes the exact rank.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -77,6 +77,7 @@ def _emit(
     if not args.json:
         print(text())
         return
+    import json
     envelope = {
         "command": args.command,
         "cross_checks": cross_checks,
@@ -257,6 +258,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load_character_file(path: str, group: PermutationGroup) -> CharacterSpec:
     """A character file maps class representatives in cycle notation to
     integer values, e.g. {"()": 2, "(1 2)": 0, "(1 2 3)": -1}."""
+    import json
+
     from .groups import parse_permutation
     from .symmetrizer import CharacterSpec
     try:
@@ -398,5 +401,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+def run() -> int:
+    """The program entry: :func:`main` on ``sys.argv``, then ``gc.freeze()``.
+
+    The freeze moves every object still alive into the permanent
+    generation, which the collections run at interpreter exit skip: they
+    would only scan objects that the ending process frees anyway.  atexit
+    handlers still run and the standard streams are flushed as usual.  Only
+    this entry freezes; callers of :func:`main` keep their collector as is."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -146,18 +146,19 @@ def test_threads_that_first_touch_layers_at_once_all_succeed():
         (["vanish", "--m", "5", "--d", "4", "--partition", "3,1,1"],
          sorted(_CORE + ["dimensions"]), set(), True),
         (["denumerant", "--coins", "1,2,5", "--amount", "12"], None,
-         {"characters", "tableaux"}, False),
+         {"characters", "tableaux"}, True),
         (["qchar", "--m", "6", "--d", "5"],
          ["cli", "config", "denumerant", "errors", "partitions"], set(), True),
-        (["dim", "--m", "5", "--d", "4", "--partition", "3,1,1"], None, _RANK_STACK, False),
+        (["character", "--table", "6"], sorted(_CORE + ["characters"]), set(), True),
+        (["dim", "--m", "5", "--d", "4", "--partition", "3,1,1"], None, _RANK_STACK, True),
         (["dim", "--m", "4", "--d", "3", "--partition", "2,2", "--verify"],
          [m for m in _LIBRARY if m != "irreducibles"], set(), False),
         (["symmetrize", "--generators", "(1 2),(1 2 3)", "--character", _CHARACTER_FILE,
           "--alpha", "2,0,0"],
          [m for m in _LIBRARY if m not in ("dimensions", "irreducibles")], set(), False),
     ],
-    ids=["unknown-command", "missing-option", "kostka", "vanish", "denumerant", "qchar", "dim",
-         "dim-verify", "symmetrize"],
+    ids=["unknown-command", "missing-option", "kostka", "vanish", "denumerant", "qchar",
+         "character-table", "dim", "dim-verify", "symmetrize"],
 )
 def test_a_query_runs_only_the_layers_it_reaches(argv, ran, not_ran, no_fractions, tmp_path):
     if _CHARACTER_FILE in argv:
@@ -171,6 +172,34 @@ def test_a_query_runs_only_the_layers_it_reaches(argv, ran, not_ran, no_fraction
     assert not_ran.isdisjoint(layers)
     if no_fractions:
         assert not fractions
+
+
+# the probe imports only io and sys, which every interpreter has loaded, and
+# writes no JSON itself: json in sys.modules after main came from relsym
+_JSON_RUN = (
+    "import io, sys\n"
+    "import relsym.cli\n"
+    "stdout, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
+    "code = relsym.cli.main(sys.argv[1:])\n"
+    "stdout.write(repr((code, 'json' in sys.modules)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_json",
+    [
+        (["qchar", "--m", "6", "--d", "5", "--json"], 0, False),
+        (["decompose", "--m", "6", "--d", "5", "--json"], 0, False),
+        (["qchar", "--m", "six", "--d", "5", "--json"], 1, False),
+        (["dim", "--m", "5", "--d", "4", "--partition", "3,x", "--json"], 1, False),
+        (["kostka", "--shape", "3,2", "--content", "2,2,1", "--json"], 0, True),
+    ],
+    ids=["qchar", "decompose", "argparse-error", "bad-input", "kostka"],
+)
+def test_only_an_encoded_envelope_loads_json(argv, code, loads_json):
+    # qchar and decompose write their rows through a template, and an
+    # argument error writes no envelope; kostka shows the probe sees json
+    assert _fresh(_JSON_RUN, *argv).decode() == repr((code, loads_json))
 
 
 def test_public_names_are_their_layers_objects():
